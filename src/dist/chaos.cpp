@@ -34,18 +34,6 @@ void parse_coordinate(std::size_t entry, std::string_view token,
     value = parsed;
 }
 
-// A "name=millis" fault token; `name` includes the '='.
-void parse_millis(std::size_t entry, std::string_view fault,
-                  std::string_view name, std::string_view rule,
-                  std::uint64_t& value) {
-    bool any = false;
-    parse_coordinate(entry, fault.substr(name.size()), rule, any, value);
-    if (any)
-        fail(entry, std::string{name.substr(0, name.size() - 1)} +
-                        " needs a millisecond count in rule \"" +
-                        std::string{rule} + "\"");
-}
-
 fault_rule parse_rule(std::size_t entry, std::string_view rule) {
     // Split on ':' into at most 4 fields: fault[:shard[:round[:attempt]]].
     std::vector<std::string_view> fields;
@@ -60,41 +48,33 @@ fault_rule parse_rule(std::size_t entry, std::string_view rule) {
         fail(entry,
              "rule \"" + std::string{rule} + "\" has too many fields");
 
+    // Fault tokens are to_string's names; the timed kinds take "=<millis>".
     fault_rule out;
-    std::string_view fault = fields[0];
-    if (fault == "crash") {
-        out.kind = fault_kind::crash;
-    } else if (fault == "crash-late") {
-        out.kind = fault_kind::crash_late;
-    } else if (fault == "hang") {
-        out.kind = fault_kind::hang;
-    } else if (fault == "trunc") {
-        out.kind = fault_kind::trunc;
-    } else if (fault == "corrupt") {
-        out.kind = fault_kind::corrupt;
-    } else if (fault == "wrong-block") {
-        out.kind = fault_kind::wrong_block;
-    } else if (fault.substr(0, 5) == "slow=") {
-        out.kind = fault_kind::slow;
-        parse_millis(entry, fault, "slow=", rule, out.param);
-    } else if (fault == "net-die") {
-        out.kind = fault_kind::net_die;
-    } else if (fault == "net-drop") {
-        out.kind = fault_kind::net_drop;
-    } else if (fault == "net-garble") {
-        out.kind = fault_kind::net_garble;
-    } else if (fault.substr(0, 10) == "net-delay=") {
-        out.kind = fault_kind::net_delay;
-        parse_millis(entry, fault, "net-delay=", rule, out.param);
-    } else if (fault.substr(0, 14) == "net-partition=") {
-        out.kind = fault_kind::net_partition;
-        parse_millis(entry, fault, "net-partition=", rule, out.param);
-    } else if (fault == "net-stall-hb") {
-        out.kind = fault_kind::net_stall_hb;
-    } else {
+    const std::string_view fault = fields[0];
+    for (auto v = static_cast<std::uint8_t>(fault_kind::crash);
+         v <= static_cast<std::uint8_t>(fault_kind::net_stall_hb); ++v) {
+        const auto kind = static_cast<fault_kind>(v);
+        const std::string name = to_string(kind);
+        const bool timed = kind == fault_kind::slow ||
+                           kind == fault_kind::net_delay ||
+                           kind == fault_kind::net_partition;
+        const std::string token = timed ? name + "=" : name;
+        if (timed ? fault.substr(0, token.size()) != token : fault != token)
+            continue;
+        out.kind = kind;
+        if (timed) {
+            bool any = false;
+            parse_coordinate(entry, fault.substr(token.size()), rule, any,
+                             out.param);
+            if (any)
+                fail(entry, name + " needs a millisecond count in rule \"" +
+                                std::string{rule} + "\"");
+        }
+        break;
+    }
+    if (out.kind == fault_kind::none)
         fail(entry, "unknown fault \"" + std::string{fault} + "\" in rule \"" +
                         std::string{rule} + "\"");
-    }
 
     if (fields.size() > 1)
         parse_coordinate(entry, fields[1], rule, out.any_shard, out.shard);
@@ -103,20 +83,6 @@ fault_rule parse_rule(std::size_t entry, std::string_view rule) {
     if (fields.size() > 3)
         parse_coordinate(entry, fields[3], rule, out.any_attempt, out.attempt);
     return out;
-}
-
-template <typename Keep>
-fault_rule decide_matching(const fault_plan& plan, std::uint64_t shard,
-                           std::uint64_t round, std::uint64_t attempt,
-                           Keep keep) noexcept {
-    for (const auto& rule : plan.rules) {
-        if (!keep(rule.kind)) continue;
-        if (!rule.any_shard && rule.shard != shard) continue;
-        if (!rule.any_round && rule.round != round) continue;
-        if (!rule.any_attempt && rule.attempt != attempt) continue;
-        return rule;
-    }
-    return fault_rule{};
 }
 
 }  // namespace
@@ -142,17 +108,7 @@ const char* to_string(fault_kind kind) noexcept {
 }
 
 bool is_net_fault(fault_kind kind) noexcept {
-    switch (kind) {
-        case fault_kind::net_die:
-        case fault_kind::net_drop:
-        case fault_kind::net_garble:
-        case fault_kind::net_delay:
-        case fault_kind::net_partition:
-        case fault_kind::net_stall_hb:
-            return true;
-        default:
-            return false;
-    }
+    return kind >= fault_kind::net_die;
 }
 
 fault_plan parse_fault_plan(std::string_view text) {
@@ -175,23 +131,18 @@ fault_plan parse_fault_plan(std::string_view text) {
 }
 
 fault_rule decide_fault(const fault_plan& plan, std::uint64_t shard,
-                        std::uint64_t round, std::uint64_t attempt) noexcept {
-    return decide_matching(plan, shard, round, attempt,
-                           [](fault_kind) { return true; });
-}
-
-fault_rule decide_process_fault(const fault_plan& plan, std::uint64_t shard,
-                                std::uint64_t round,
-                                std::uint64_t attempt) noexcept {
-    return decide_matching(plan, shard, round, attempt,
-                           [](fault_kind k) { return !is_net_fault(k); });
-}
-
-fault_rule decide_net_fault(const fault_plan& plan, std::uint64_t shard,
-                            std::uint64_t round,
-                            std::uint64_t attempt) noexcept {
-    return decide_matching(plan, shard, round, attempt,
-                           [](fault_kind k) { return is_net_fault(k); });
+                        std::uint64_t round, std::uint64_t attempt,
+                        fault_family family) noexcept {
+    for (const auto& rule : plan.rules) {
+        if (family != fault_family::any &&
+            is_net_fault(rule.kind) != (family == fault_family::net))
+            continue;
+        if (!rule.any_shard && rule.shard != shard) continue;
+        if (!rule.any_round && rule.round != round) continue;
+        if (!rule.any_attempt && rule.attempt != attempt) continue;
+        return rule;
+    }
+    return fault_rule{};
 }
 
 }  // namespace pssp::dist

@@ -83,6 +83,7 @@ enum class fault_kind : std::uint8_t {
     corrupt,
     wrong_block,
     slow,
+    // Network faults, and only they, come after this point.
     net_die,
     net_drop,
     net_garble,
@@ -121,23 +122,17 @@ struct fault_plan {
 // entirely empty plan text parses to an empty plan.
 [[nodiscard]] fault_plan parse_fault_plan(std::string_view text);
 
-// The first rule matching (shard, round, attempt), or a kind-none rule.
-[[nodiscard]] fault_rule decide_fault(const fault_plan& plan,
-                                      std::uint64_t shard, std::uint64_t round,
-                                      std::uint64_t attempt) noexcept;
+// Which faults a caller executes: the compute worker asks for process
+// faults (net rules must not confuse a pipe worker), the node daemon for
+// network faults (it leaves process faults to the compute child it forks).
+enum class fault_family : std::uint8_t { any, process, net };
 
-// decide_fault restricted to one fault family: the compute worker asks
-// for process faults (net rules must not confuse a pipe worker), the node
-// daemon asks for network faults (and leaves process faults to the
-// compute child it forks).
-[[nodiscard]] fault_rule decide_process_fault(const fault_plan& plan,
-                                              std::uint64_t shard,
-                                              std::uint64_t round,
-                                              std::uint64_t attempt) noexcept;
-[[nodiscard]] fault_rule decide_net_fault(const fault_plan& plan,
-                                          std::uint64_t shard,
-                                          std::uint64_t round,
-                                          std::uint64_t attempt) noexcept;
+// The first rule of `family` matching (shard, round, attempt), or a
+// kind-none rule. First-match-wins holds within the family even when a
+// foreign-family rule sits in front.
+[[nodiscard]] fault_rule decide_fault(
+    const fault_plan& plan, std::uint64_t shard, std::uint64_t round,
+    std::uint64_t attempt, fault_family family = fault_family::any) noexcept;
 
 // Environment variable names shared by the orchestrator (which sets the
 // coordinates per spawned worker) and the worker (which reads them).

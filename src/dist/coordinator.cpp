@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
 #include <arpa/inet.h>
-#include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -26,19 +23,13 @@ namespace {
 
 using steady_clock = std::chrono::steady_clock;
 
-// ---- obs counters (side channel; same-name ids resolve to the same
-// registry slots the local supervisor feeds) ----
+// ---- obs counters (side channel; registered once per process) ----
 struct net_counters {
     obs::metric_id connections = obs::counter("dist.net.connections");
     obs::metric_id leases = obs::counter("dist.net.leases");
     obs::metric_id heartbeats = obs::counter("dist.net.heartbeats");
     obs::metric_id evictions = obs::counter("dist.net.evictions");
     obs::metric_id reconnects = obs::counter("dist.net.reconnects");
-    obs::metric_id retries = obs::counter("dist.retries");
-    obs::metric_id requeued_blocks = obs::counter("dist.requeued_blocks");
-    obs::metric_id timeouts = obs::counter("dist.timeouts");
-    obs::metric_id crashes = obs::counter("dist.crashes");
-    obs::metric_id bad_partials = obs::counter("dist.bad_partials");
 };
 
 const net_counters& counters() {
@@ -46,25 +37,24 @@ const net_counters& counters() {
     return ids;
 }
 
+// Heartbeat intervals of silence after which a node is evicted.
+constexpr double heartbeat_grace = 8.0;
+
 // SIGTERM drain flag: async-signal-safe, shared by every coordinator in
 // the process (realistically one).
 volatile std::sig_atomic_t g_drain_requested = 0;
 
 void drain_handler(int) { g_drain_requested = 1; }
 
-std::chrono::steady_clock::duration from_seconds(double s) {
+steady_clock::duration from_seconds(double s) {
     return std::chrono::duration_cast<steady_clock::duration>(
         std::chrono::duration<double>(s));
 }
 
-enum class job_state : std::uint8_t { pending, running, finished };
-
-struct job_slot {
-    job_state state = job_state::pending;
-    unsigned attempts_started = 0;
-    steady_clock::time_point release{};  // pending: earliest next lease
-    std::size_t holder = SIZE_MAX;       // running: workers_ index
-};
+[[noreturn]] void throw_errno(const char* what) {
+    throw std::runtime_error{std::string{"coordinator: "} + what +
+                             " failed (" + std::strerror(errno) + ")"};
+}
 
 }  // namespace
 
@@ -74,600 +64,355 @@ std::string coordinator::version_mismatch_error(std::uint32_t worker_version) {
            std::to_string(net_protocol_version) + ")";
 }
 
-std::string default_node_path() {
-    char buf[PATH_MAX];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        std::string path{buf};
-        const auto slash = path.rfind('/');
-        if (slash != std::string::npos)
-            return path.substr(0, slash + 1) + "tools_campaign_node";
-    }
-    return "./tools_campaign_node";
+coordinator::coordinator(const net_options& options, std::uint64_t spec_digest)
+    : options_{options}, digest_{spec_digest} {
+    listen_and_bind();
+    struct sigaction term {};
+    term.sa_handler = drain_handler;
+    ::sigaction(SIGTERM, &term, &old_term_);
+    // A fresh coordinator starts undrained even if a previous one in this
+    // process was drained.
+    g_drain_requested = 0;
+    starved_since_ = steady_clock::now();
+    if (options_.on_listen) options_.on_listen(port_);
+    spawn_fleet();
 }
 
-struct coordinator::impl {
-    net_options options;
-    fault_policy policy;
-    std::uint64_t digest = 0;
-
-    int listen_fd = -1;
-    std::uint16_t port = 0;
-    std::vector<pid_t> fleet;
-
-    struct worker_conn {
-        frame_conn conn;
-        std::string name;
-        bool registered = false;
-        steady_clock::time_point last_heard{};
-        std::size_t leased = SIZE_MAX;  // job index, SIZE_MAX = idle
-        std::uint32_t lease_attempt = 0;
-        bool lease_has_deadline = false;
-        steady_clock::time_point lease_deadline{};
-        steady_clock::time_point lease_start{};
-    };
-    std::vector<worker_conn> workers;
-
-    struct sigaction old_term {};
-    struct sigaction old_pipe {};
-
-    // Live only inside run_jobs(); frame handlers reach the round through
-    // this (null between rounds, e.g. during pump()).
-    struct round_state {
-        const std::vector<supervised_job>* jobs = nullptr;
-        const supervise_hooks* hooks = nullptr;
-        supervise_stats* stats = nullptr;
-        std::vector<job_slot> slots;
-        std::vector<job_result> results;
-        std::size_t unfinished = 0;
-    };
-    round_state* round = nullptr;
-
-    impl(const net_options& opt, const fault_policy& pol, std::uint64_t dig)
-        : options{opt}, policy{pol}, digest{dig} {
-        listen_and_bind();
-        // A worker dying mid-write must surface as a failed write on its
-        // connection, not SIGPIPE killing the coordinator.
-        struct sigaction ignore_pipe {};
-        ignore_pipe.sa_handler = SIG_IGN;
-        ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
-        struct sigaction term {};
-        term.sa_handler = drain_handler;
-        ::sigaction(SIGTERM, &term, &old_term);
-        // A fresh coordinator starts undrained even if a previous one in
-        // this process was drained.
-        g_drain_requested = 0;
-        if (options.on_listen) options.on_listen(port);
-        spawn_fleet();
+coordinator::~coordinator() {
+    ::sigaction(SIGTERM, &old_term_, nullptr);
+    // Best-effort clean goodbye so well-behaved nodes exit 0 ...
+    for (auto& n : nodes_) {
+        if (!n.conn.open()) continue;
+        n.conn.queue(frame_type::shutdown, {});
+        (void)n.conn.pump_writes();
+        n.conn.close();
     }
-
-    ~impl() {
-        ::sigaction(SIGTERM, &old_term, nullptr);
-        ::sigaction(SIGPIPE, &old_pipe, nullptr);
-        // Best-effort clean goodbye so well-behaved nodes exit 0 ...
-        for (auto& w : workers) {
-            if (!w.conn.open()) continue;
-            w.conn.queue(frame_type::shutdown, {});
-            (void)w.conn.pump_writes();
-            w.conn.close();
-        }
-        if (listen_fd >= 0) ::close(listen_fd);
-        // ... and a hard stop for any fleet child that did not take it.
-        for (const pid_t pid : fleet) {
-            int status = 0;
-            if (::waitpid(pid, &status, WNOHANG) == 0) {
-                ::kill(pid, SIGKILL);
-                while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-                }
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    // ... and a hard stop for any fleet child that did not take it.
+    for (const pid_t pid : fleet_) {
+        int status = 0;
+        if (::waitpid(pid, &status, WNOHANG) == 0) {
+            ::kill(pid, SIGKILL);
+            while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
             }
         }
     }
+}
 
-    void listen_and_bind() {
-        listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                             0);
-        if (listen_fd < 0)
-            throw std::runtime_error{
-                std::string{"coordinator: socket() failed ("} +
-                std::strerror(errno) + ")"};
+void coordinator::listen_and_bind() {
+    listen_fd_ =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (listen_fd_ < 0) throw_errno("socket()");
+    const int one = 1;
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(options_.listen_port);
+    if (::inet_pton(AF_INET, options_.listen_host.c_str(), &addr.sin_addr) != 1)
+        throw std::runtime_error{"coordinator: bad listen address \"" +
+                                 options_.listen_host + "\""};
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+        0)
+        throw_errno("bind()");
+    if (::listen(listen_fd_, SOMAXCONN) != 0) throw_errno("listen()");
+    sockaddr_in bound{};
+    socklen_t len = sizeof bound;
+    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
+        0)
+        throw_errno("getsockname()");
+    port_ = ntohs(bound.sin_port);
+}
+
+void coordinator::spawn_fleet() {
+    if (options_.fleet_workers == 0) return;
+    const std::string node_bin = sibling_binary("tools_campaign_node");
+    const std::string endpoint =
+        options_.listen_host + ":" + std::to_string(port_);
+    for (unsigned k = 0; k < options_.fleet_workers; ++k) {
+        const std::string name = "node-" + std::to_string(k);
+        const pid_t pid = ::fork();
+        if (pid < 0) throw_errno("fork() for fleet node");
+        if (pid == 0) {
+            // A SIGKILLed coordinator (--kill-after-round) must not leak
+            // node processes.
+            ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+            std::vector<const char*> argv{node_bin.c_str(), "--connect",
+                                          endpoint.c_str(), "--name",
+                                          name.c_str()};
+            if (!options_.worker_path.empty()) {
+                argv.push_back("--worker");
+                argv.push_back(options_.worker_path.c_str());
+            }
+            argv.push_back(nullptr);
+            ::execv(node_bin.c_str(), const_cast<char* const*>(argv.data()));
+            std::fprintf(stderr, "campaign node exec failed: %s: %s\n",
+                         node_bin.c_str(), std::strerror(errno));
+            ::_exit(127);
+        }
+        fleet_.push_back(pid);
+    }
+}
+
+// A node left (disconnect, poisoned or misaddressed frame, heartbeat
+// silence): close it and report the lease it held as lost.
+void coordinator::evict(node& n, const std::string& reason, failure_kind kind) {
+    obs::add(counters().evictions, 1);
+    if (stats_ != nullptr) stats_->evictions += 1;
+    if (n.job != npos && events_ != nullptr) {
+        lease_event e;
+        e.job = n.job;
+        e.attempt = n.attempt;
+        e.kind = kind;
+        e.why = "worker '" + n.name + "' " + reason;
+        events_->push_back(std::move(e));
+    }
+    n.job = npos;
+    n.conn.close();
+}
+
+std::string coordinator::revoke(std::size_t k, supervise_stats& stats) {
+    for (auto& n : nodes_) {
+        if (n.job != k || !n.conn.open()) continue;
+        // Expiry is an eviction for the node: a late result must never
+        // race the re-lease, so the connection goes with the lease. Outside
+        // service() there is no event list, so none is reported.
+        stats_ = &stats;
+        evict(n, {}, failure_kind::timeout);
+        stats_ = nullptr;
+        return n.name;
+    }
+    return {};
+}
+
+void coordinator::handle_hello(node& n, const frame& f) {
+    hello_msg hello;
+    try {
+        hello = hello_from_json(f.payload);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "coordinator: bad hello: %s\n", e.what());
+        n.conn.close();
+        return;
+    }
+    if (hello.version != net_protocol_version) {
+        n.conn.queue(frame_type::error, version_mismatch_error(hello.version));
+        (void)n.conn.pump_writes();
+        n.conn.close();
+        return;
+    }
+    n.name = hello.name.empty() ? "worker-fd" + std::to_string(n.conn.fd())
+                                : hello.name;
+    n.registered = true;
+    if (hello.reconnects > 0) {
+        obs::add(counters().reconnects, 1);
+        if (stats_ != nullptr) stats_->reconnects += 1;
+    }
+    welcome_msg welcome;
+    welcome.heartbeat_ms = static_cast<std::uint64_t>(
+        std::max(1.0, options_.heartbeat_seconds * 1000.0));
+    welcome.spec_digest = digest_;
+    n.conn.queue(frame_type::welcome, welcome_to_json(welcome));
+}
+
+void coordinator::handle_result(node& n, const frame& f) {
+    if (n.job == npos) return;  // nothing leased: stale, dedup ignores it
+    std::string_view output;
+    result_envelope env;
+    try {
+        env = decode_result(f.payload, &output);
+    } catch (const std::exception& e) {
+        evict(n, std::string{"sent an undecodable result ("} + e.what() + ")",
+              failure_kind::bad_partial);
+        return;
+    }
+    // The connection closes on eviction, so no stale echo can arrive on
+    // it: a result for another shard or attempt is a misbehaving peer.
+    if (env.shard != n.shard || env.attempt != n.attempt) {
+        evict(n,
+              "sent a result for shard " + std::to_string(env.shard) +
+                  " attempt " + std::to_string(env.attempt) +
+                  " while leased shard " + std::to_string(n.shard) +
+                  " attempt " + std::to_string(n.attempt),
+              failure_kind::bad_partial);
+        return;
+    }
+    lease_event e;
+    e.job = n.job;
+    e.attempt = n.attempt;
+    e.wait_status = env.wait_status;
+    e.output = std::string{output};
+    e.worker = n.name;
+    events_->push_back(std::move(e));
+    n.job = npos;
+}
+
+void coordinator::handle_frame(node& n, const frame& f) {
+    n.last_heard = steady_clock::now();
+    switch (f.type) {
+        case frame_type::hello:
+            handle_hello(n, f);
+            return;
+        case frame_type::heartbeat:
+            obs::add(counters().heartbeats, 1);
+            return;
+        case frame_type::result:
+            if (!n.registered)
+                evict(n, "sent a result before registering",
+                      failure_kind::crash);
+            else
+                handle_result(n, f);
+            return;
+        case frame_type::error:
+            std::fprintf(stderr, "coordinator: worker '%s' error: %s\n",
+                         n.name.c_str(), f.payload.c_str());
+            evict(n, "reported a fatal error: " + f.payload,
+                  failure_kind::crash);
+            return;
+        default:
+            evict(n, std::string{"sent an unexpected "} + to_string(f.type) +
+                         " frame",
+                  failure_kind::crash);
+            return;
+    }
+}
+
+void coordinator::accept_pending() {
+    for (;;) {
+        const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                                 SOCK_NONBLOCK | SOCK_CLOEXEC);
+        if (fd < 0) {
+            if (errno == EINTR) continue;
+            return;  // EAGAIN and transient errors alike: retry later
+        }
         const int one = 1;
-        ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(options.listen_port);
-        if (::inet_pton(AF_INET, options.listen_host.c_str(), &addr.sin_addr) !=
-            1)
-            throw std::runtime_error{"coordinator: bad listen address \"" +
-                                     options.listen_host + "\""};
-        if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-            0)
-            throw std::runtime_error{std::string{"coordinator: bind() failed ("} +
-                                     std::strerror(errno) + ")"};
-        if (::listen(listen_fd, SOMAXCONN) != 0)
-            throw std::runtime_error{
-                std::string{"coordinator: listen() failed ("} +
-                std::strerror(errno) + ")"};
-        sockaddr_in bound{};
-        socklen_t len = sizeof bound;
-        if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                          &len) != 0)
-            throw std::runtime_error{
-                std::string{"coordinator: getsockname() failed ("} +
-                std::strerror(errno) + ")"};
-        port = ntohs(bound.sin_port);
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+        node n;
+        n.conn = frame_conn{fd};
+        n.last_heard = steady_clock::now();
+        nodes_.push_back(std::move(n));
+        obs::add(counters().connections, 1);
     }
-
-    void spawn_fleet() {
-        if (options.fleet_workers == 0) return;
-        const std::string node = options.node_path.empty()
-                                     ? default_node_path()
-                                     : options.node_path;
-        const std::string endpoint =
-            options.listen_host + ":" + std::to_string(port);
-        for (unsigned k = 0; k < options.fleet_workers; ++k) {
-            const std::string name = "node-" + std::to_string(k);
-            const pid_t pid = ::fork();
-            if (pid < 0)
-                throw std::runtime_error{
-                    std::string{"coordinator: fork() for fleet node failed ("} +
-                    std::strerror(errno) + ")"};
-            if (pid == 0) {
-                // A SIGKILLed coordinator (--kill-after-round) must not
-                // leak node processes.
-                ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-                std::vector<const char*> argv{node.c_str(), "--connect",
-                                              endpoint.c_str(), "--name",
-                                              name.c_str()};
-                if (!options.worker_path.empty()) {
-                    argv.push_back("--worker");
-                    argv.push_back(options.worker_path.c_str());
-                }
-                argv.push_back(nullptr);
-                ::execv(node.c_str(), const_cast<char* const*>(argv.data()));
-                std::fprintf(stderr, "campaign node exec failed: %s: %s\n",
-                             node.c_str(), std::strerror(errno));
-                ::_exit(127);
-            }
-            fleet.push_back(pid);
-        }
-    }
-
-    // ---- Requeue bookkeeping (mirrors the local supervisor's) ----
-
-    double lease_seconds() const {
-        if (options.lease_seconds > 0.0) return options.lease_seconds;
-        return policy.timeout_seconds;  // 0 = no lease deadline
-    }
-
-    void fail_attempt(std::size_t k, failure_kind kind, std::string why,
-                      int wait_status, bool retryable) {
-        auto& slot = round->slots[k];
-        auto& result = round->results[k];
-        const auto& job = (*round->jobs)[k];
-        if (kind == failure_kind::timeout) {
-            round->stats->timeouts += 1;
-            obs::add(counters().timeouts, 1);
-        } else if (kind == failure_kind::crash || kind == failure_kind::input) {
-            obs::add(counters().crashes, 1);
-        } else {
-            obs::add(counters().bad_partials, 1);
-        }
-        result.attempts = slot.attempts_started;
-        result.failures.push_back(attempt_record{slot.attempts_started, kind,
-                                                 std::move(why), wait_status});
-        if (round->hooks->on_attempt_failure)
-            round->hooks->on_attempt_failure(job, result.failures.back());
-        slot.holder = SIZE_MAX;
-        if (retryable && slot.attempts_started < policy.max_attempts) {
-            round->stats->retries += 1;
-            round->stats->requeued_blocks += job.manifest.blocks.size();
-            obs::add(counters().retries, 1);
-            obs::add(counters().requeued_blocks, job.manifest.blocks.size());
-            slot.state = job_state::pending;
-            slot.release =
-                steady_clock::now() +
-                from_seconds(policy.backoff_for(slot.attempts_started));
-            return;
-        }
-        slot.state = job_state::finished;
-        round->unfinished -= 1;
-    }
-
-    // A worker left (disconnect, poisoned frame, heartbeat silence, lease
-    // expiry): close it, requeue whatever it held.
-    void evict_worker(std::size_t w, const std::string& reason,
-                      failure_kind kind) {
-        auto& worker = workers[w];
-        obs::add(counters().evictions, 1);
-        if (round != nullptr) round->stats->evictions += 1;
-        if (worker.leased != SIZE_MAX && round != nullptr) {
-            const std::size_t k = worker.leased;
-            worker.leased = SIZE_MAX;
-            if (round->slots[k].state == job_state::running &&
-                round->slots[k].holder == w)
-                fail_attempt(k, kind,
-                             "worker '" + worker.name + "' " + reason,
-                             /*wait_status=*/-1, /*retryable=*/true);
-        }
-        worker.conn.close();
-    }
-
-    void drop_closed_workers() {
-        workers.erase(std::remove_if(workers.begin(), workers.end(),
-                                     [](const worker_conn& w) {
-                                         return !w.conn.open();
-                                     }),
-                      workers.end());
-        if (round != nullptr)
-            for (auto& slot : round->slots) slot.holder = SIZE_MAX;
-        // Holder indices are only trusted while the workers vector is
-        // stable within one poll pass; re-derive them from the leases.
-        if (round != nullptr)
-            for (std::size_t w = 0; w < workers.size(); ++w)
-                if (workers[w].leased != SIZE_MAX)
-                    round->slots[workers[w].leased].holder = w;
-    }
-
-    // ---- Frame handling ----
-
-    void handle_hello(std::size_t w, const frame& f) {
-        auto& worker = workers[w];
-        hello_msg hello;
-        try {
-            hello = hello_from_json(f.payload);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "coordinator: bad hello: %s\n", e.what());
-            worker.conn.close();
-            return;
-        }
-        if (hello.version != net_protocol_version) {
-            worker.conn.queue(frame_type::error,
-                              version_mismatch_error(hello.version));
-            (void)worker.conn.pump_writes();
-            worker.conn.close();
-            return;
-        }
-        worker.name = hello.name.empty()
-                          ? "worker-fd" + std::to_string(worker.conn.fd())
-                          : hello.name;
-        worker.registered = true;
-        worker.last_heard = steady_clock::now();
-        if (hello.reconnects > 0) {
-            obs::add(counters().reconnects, 1);
-            if (round != nullptr) round->stats->reconnects += 1;
-        }
-        welcome_msg welcome;
-        welcome.heartbeat_ms = static_cast<std::uint64_t>(
-            std::max(1.0, options.heartbeat_seconds * 1000.0));
-        welcome.spec_digest = digest;
-        worker.conn.queue(frame_type::welcome, welcome_to_json(welcome));
-    }
-
-    void handle_result(std::size_t w, const frame& f) {
-        auto& worker = workers[w];
-        if (round == nullptr || worker.leased == SIZE_MAX) return;  // stale
-        std::string_view output;
-        result_envelope env;
-        try {
-            env = decode_result(f.payload, &output);
-        } catch (const std::exception& e) {
-            evict_worker(w, std::string{"sent an undecodable result ("} +
-                                e.what() + ")",
-                         failure_kind::bad_partial);
-            return;
-        }
-        const std::size_t k = worker.leased;
-        const auto& job = (*round->jobs)[k];
-        if (env.shard != job.shard || env.attempt != worker.lease_attempt)
-            return;  // late echo of a superseded lease: dedup ignores it
-        worker.leased = SIZE_MAX;
-        auto& slot = round->slots[k];
-        auto& result = round->results[k];
-        slot.holder = SIZE_MAX;
-        auto c = classify_attempt(job, env.wait_status, output);
-        if (c.kind == failure_kind::none) {
-            result.ok = true;
-            result.partial = std::move(c.partial);
-            result.attempts = slot.attempts_started;
-            result.worker_name = worker.name;
-            result.wall_seconds =
-                std::chrono::duration<double>(steady_clock::now() -
-                                              worker.lease_start)
-                    .count();
-            if (round->hooks->on_job_success)
-                round->hooks->on_job_success(job, result.partial);
-            slot.state = job_state::finished;
-            round->unfinished -= 1;
-            return;
-        }
-        fail_attempt(k, c.kind, std::move(c.why), env.wait_status,
-                     /*retryable=*/!is_exec_failure(env.wait_status));
-    }
-
-    void handle_frame(std::size_t w, const frame& f) {
-        auto& worker = workers[w];
-        worker.last_heard = steady_clock::now();
-        switch (f.type) {
-            case frame_type::hello:
-                handle_hello(w, f);
-                return;
-            case frame_type::heartbeat:
-                obs::add(counters().heartbeats, 1);
-                return;
-            case frame_type::result:
-                if (!worker.registered) {
-                    evict_worker(w, "sent a result before registering",
-                                 failure_kind::crash);
-                    return;
-                }
-                handle_result(w, f);
-                return;
-            case frame_type::error:
-                std::fprintf(stderr, "coordinator: worker '%s' error: %s\n",
-                             worker.name.c_str(), f.payload.c_str());
-                evict_worker(w, "reported a fatal error: " + f.payload,
-                             failure_kind::crash);
-                return;
-            default:
-                evict_worker(w,
-                             std::string{"sent an unexpected "} +
-                                 to_string(f.type) + " frame",
-                             failure_kind::crash);
-                return;
-        }
-    }
-
-    void accept_pending() {
-        for (;;) {
-            const int fd = ::accept4(listen_fd, nullptr, nullptr,
-                                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-            if (fd < 0) {
-                if (errno == EINTR) continue;
-                return;  // EAGAIN and transient errors alike: retry later
-            }
-            const int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-            worker_conn w;
-            w.conn = frame_conn{fd};
-            w.last_heard = steady_clock::now();
-            workers.push_back(std::move(w));
-            obs::add(counters().connections, 1);
-        }
-    }
-
-    // Hands one pending job to one idle registered worker.
-    void assign_leases() {
-        if (round == nullptr || g_drain_requested != 0) return;
-        const auto now = steady_clock::now();
-        const double lease_s = lease_seconds();
-        for (std::size_t k = 0; k < round->slots.size(); ++k) {
-            auto& slot = round->slots[k];
-            if (slot.state != job_state::pending || slot.release > now)
-                continue;
-            std::size_t idle = SIZE_MAX;
-            for (std::size_t w = 0; w < workers.size(); ++w)
-                if (workers[w].registered && workers[w].conn.open() &&
-                    workers[w].leased == SIZE_MAX) {
-                    idle = w;
-                    break;
-                }
-            if (idle == SIZE_MAX) return;  // fleet saturated: bounded in-flight
-            auto& worker = workers[idle];
-            const auto& job = (*round->jobs)[k];
-            slot.attempts_started += 1;
-            slot.state = job_state::running;
-            slot.holder = idle;
-            worker.leased = k;
-            worker.lease_attempt = slot.attempts_started;
-            worker.lease_start = now;
-            worker.lease_has_deadline = lease_s > 0.0;
-            if (worker.lease_has_deadline)
-                worker.lease_deadline = now + from_seconds(lease_s);
-            lease_envelope env;
-            env.shard = job.shard;
-            env.shard_count = job.shard_count;
-            env.attempt = slot.attempts_started;
-            env.round = job.manifest.round;
-            worker.conn.queue(frame_type::lease, encode_lease(env, job.input));
-            obs::add(counters().leases, 1);
-        }
-    }
-
-    // One poll pass: I/O, handshakes, heartbeat/lease deadlines. Returns
-    // after at most wait_ms (sooner on any event).
-    void poll_once(int wait_ms) {
-        const auto now = steady_clock::now();
-        std::vector<pollfd> fds;
-        std::vector<std::size_t> owner;  // fds[i] -> workers[owner[i]]; listen
-                                         // socket uses SIZE_MAX
-        fds.push_back(pollfd{listen_fd, POLLIN, 0});
-        owner.push_back(SIZE_MAX);
-        auto consider = [&wait_ms, &now](steady_clock::time_point when) {
-            const auto dt =
-                std::chrono::duration_cast<std::chrono::milliseconds>(when - now)
-                    .count();
-            const int ms = dt <= 0 ? 0
-                                   : static_cast<int>(
-                                         std::min<long long>(dt + 1, 60000));
-            if (wait_ms < 0 || ms < wait_ms) wait_ms = ms;
-        };
-        const auto silence_budget =
-            from_seconds(options.heartbeat_seconds * options.heartbeat_grace);
-        for (std::size_t w = 0; w < workers.size(); ++w) {
-            auto& worker = workers[w];
-            if (!worker.conn.open()) continue;
-            short events = POLLIN;
-            if (worker.conn.wants_write()) events |= POLLOUT;
-            fds.push_back(pollfd{worker.conn.fd(), events, 0});
-            owner.push_back(w);
-            consider(worker.last_heard + silence_budget);
-            if (worker.leased != SIZE_MAX && worker.lease_has_deadline)
-                consider(worker.lease_deadline);
-        }
-        if (round != nullptr) {
-            // Future releases bound the wait; a release already due with no
-            // idle worker must NOT drive the timeout to zero (hot spin) —
-            // the job is waiting on worker I/O, not on the clock.
-            for (const auto& slot : round->slots)
-                if (slot.state == job_state::pending && slot.release > now)
-                    consider(slot.release);
-            // Mid-round, never block indefinitely: the register-wait and
-            // drain checks in run_jobs need the loop to tick.
-            if (wait_ms < 0 || wait_ms > 500) wait_ms = 500;
-        }
-        const int rc =
-            ::poll(fds.data(), static_cast<nfds_t>(fds.size()), wait_ms);
-        if (rc < 0) {
-            if (errno == EINTR) return;  // signal (likely the drain) woke us
-            throw std::runtime_error{
-                std::string{"coordinator: poll() failed ("} +
-                std::strerror(errno) + ")"};
-        }
-        for (std::size_t i = 0; i < fds.size(); ++i) {
-            if (fds[i].revents == 0) continue;
-            if (owner[i] == SIZE_MAX) {
-                accept_pending();
-                continue;
-            }
-            auto& worker = workers[owner[i]];
-            if (!worker.conn.open() || worker.conn.fd() != fds[i].fd) continue;
-            if ((fds[i].revents & POLLOUT) != 0 && !worker.conn.pump_writes()) {
-                evict_worker(owner[i],
-                             "write failed (" + worker.conn.error() + ")",
-                             failure_kind::crash);
-                continue;
-            }
-            if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-                std::vector<frame> frames;
-                const auto status = worker.conn.read_frames(frames);
-                for (const auto& f : frames) {
-                    if (!worker.conn.open()) break;
-                    handle_frame(owner[i], f);
-                }
-                if (!worker.conn.open()) continue;
-                if (status == frame_conn::io_status::failed)
-                    evict_worker(owner[i],
-                                 "connection failed (" + worker.conn.error() +
-                                     ")",
-                                 failure_kind::crash);
-                else if (status == frame_conn::io_status::closed)
-                    evict_worker(owner[i], "disconnected", failure_kind::crash);
-            }
-        }
-        // Deadline sweeps on the post-I/O clock.
-        const auto tick = steady_clock::now();
-        for (std::size_t w = 0; w < workers.size(); ++w) {
-            auto& worker = workers[w];
-            if (!worker.conn.open()) continue;
-            if (worker.leased != SIZE_MAX && worker.lease_has_deadline &&
-                tick >= worker.lease_deadline) {
-                char why[64];
-                std::snprintf(why, sizeof why, "lease expired after %.1fs",
-                              lease_seconds());
-                // Expiry is a timeout for the job and an eviction for the
-                // worker: a late result must never race the re-lease.
-                const std::size_t k = worker.leased;
-                worker.leased = SIZE_MAX;
-                if (round != nullptr &&
-                    round->slots[k].state == job_state::running)
-                    fail_attempt(k, failure_kind::timeout,
-                                 std::string{why} + " (worker '" + worker.name +
-                                     "')",
-                                 /*wait_status=*/-1, /*retryable=*/true);
-                obs::add(counters().evictions, 1);
-                if (round != nullptr) round->stats->evictions += 1;
-                worker.conn.close();
-                continue;
-            }
-            if (tick - worker.last_heard > silence_budget)
-                evict_worker(w, "evicted after heartbeat silence",
-                             failure_kind::crash);
-        }
-        drop_closed_workers();
-    }
-
-    std::size_t registered_count() const {
-        std::size_t n = 0;
-        for (const auto& w : workers)
-            if (w.registered && w.conn.open()) ++n;
-        return n;
-    }
-
-    std::vector<job_result> run_jobs(const std::vector<supervised_job>& jobs,
-                                     const supervise_hooks& hooks,
-                                     supervise_stats& stats) {
-        if (policy.max_attempts == 0)
-            throw std::invalid_argument{
-                "coordinator: max_attempts must be >= 1"};
-        round_state state;
-        state.jobs = &jobs;
-        state.hooks = &hooks;
-        state.stats = &stats;
-        state.slots.assign(jobs.size(), job_slot{});
-        state.results.assign(jobs.size(), job_result{});
-        state.unfinished = jobs.size();
-        const auto now = steady_clock::now();
-        for (auto& slot : state.slots) slot.release = now;
-        round = &state;
-        auto starved_since = now;
-        try {
-            while (state.unfinished > 0) {
-                if (registered_count() > 0)
-                    starved_since = steady_clock::now();
-                else if (std::chrono::duration<double>(steady_clock::now() -
-                                                       starved_since)
-                             .count() > options.register_wait_seconds) {
-                    char msg[96];
-                    std::snprintf(msg, sizeof msg,
-                                  "no registered workers within %.1fs — fleet "
-                                  "lost or never connected",
-                                  options.register_wait_seconds);
-                    throw std::runtime_error{std::string{"run_sharded: "} +
-                                             msg};
-                }
-                if (g_drain_requested != 0) {
-                    bool running = false;
-                    for (const auto& slot : state.slots)
-                        running |= slot.state == job_state::running;
-                    if (!running)
-                        throw std::runtime_error{
-                            "run_sharded: coordinator drained on SIGTERM "
-                            "(completed leases are checkpointed; --resume "
-                            "continues the campaign)"};
-                }
-                assign_leases();
-                poll_once(-1);
-            }
-        } catch (...) {
-            round = nullptr;
-            throw;
-        }
-        round = nullptr;
-        return std::move(state.results);
-    }
-};
-
-coordinator::coordinator(const net_options& options, const fault_policy& policy,
-                         std::uint64_t spec_digest)
-    : impl_{new impl{options, policy, spec_digest}} {
-    port_ = impl_->port;
 }
 
-coordinator::~coordinator() { delete impl_; }
-
-std::vector<job_result> coordinator::run_jobs(
-    const std::vector<supervised_job>& jobs, const supervise_hooks& hooks,
-    supervise_stats& stats) {
-    return impl_->run_jobs(jobs, hooks, stats);
+bool coordinator::lease(std::size_t k, const supervised_job& job,
+                        unsigned attempt) {
+    if (g_drain_requested != 0) return false;
+    const auto idle =
+        std::find_if(nodes_.begin(), nodes_.end(), [](const node& n) {
+            return n.registered && n.conn.open() && n.job == npos;
+        });
+    if (idle == nodes_.end()) return false;  // saturated: bounded in-flight
+    idle->job = k;
+    idle->shard = job.shard;
+    idle->attempt = attempt;
+    lease_envelope env;
+    env.shard = job.shard;
+    env.shard_count = job.shard_count;
+    env.attempt = attempt;
+    env.round = job.manifest.round;
+    idle->conn.queue(frame_type::lease, encode_lease(env, job.input));
+    obs::add(counters().leases, 1);
+    return true;
 }
 
-void coordinator::request_drain() noexcept { g_drain_requested = 1; }
+void coordinator::check_progress(bool in_flight) {
+    const auto now = steady_clock::now();
+    if (registered_workers() > 0) {
+        starved_since_ = now;
+    } else if (std::chrono::duration<double>(now - starved_since_).count() >
+               options_.register_wait_seconds) {
+        char msg[96];
+        std::snprintf(msg, sizeof msg,
+                      "no registered workers within %.1fs — fleet lost or "
+                      "never connected",
+                      options_.register_wait_seconds);
+        throw std::runtime_error{std::string{"run_sharded: "} + msg};
+    }
+    if (g_drain_requested != 0 && !in_flight)
+        throw std::runtime_error{
+            "run_sharded: coordinator drained on SIGTERM (completed leases "
+            "are checkpointed; --resume continues the campaign)"};
+}
 
-void coordinator::pump(int wait_ms) { impl_->poll_once(wait_ms); }
+steady_clock::time_point coordinator::add_poll_fds(
+    std::vector<pollfd>& fds) const {
+    // The listen socket goes first, so accept runs before any eviction of
+    // the same pass could free an fd number for reuse.
+    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    const auto silence =
+        from_seconds(options_.heartbeat_seconds * heartbeat_grace);
+    auto nearest = steady_clock::time_point::max();
+    for (const auto& n : nodes_) {
+        if (!n.conn.open()) continue;
+        const short events =
+            static_cast<short>(POLLIN | (n.conn.wants_write() ? POLLOUT : 0));
+        fds.push_back(pollfd{n.conn.fd(), events, 0});
+        nearest = std::min(nearest, n.last_heard + silence);
+    }
+    return nearest;
+}
+
+std::vector<lease_event> coordinator::service(std::span<const pollfd> fds,
+                                              supervise_stats* stats) {
+    std::vector<lease_event> events;
+    events_ = &events;
+    stats_ = stats;
+    for (const auto& p : fds) {
+        if (p.revents == 0) continue;
+        if (p.fd == listen_fd_) {
+            accept_pending();
+            continue;
+        }
+        const auto it =
+            std::find_if(nodes_.begin(), nodes_.end(), [&p](const node& n) {
+                return n.conn.open() && n.conn.fd() == p.fd;
+            });
+        if (it == nodes_.end()) continue;
+        node& n = *it;
+        if ((p.revents & POLLOUT) != 0 && !n.conn.pump_writes()) {
+            evict(n, "write failed (" + n.conn.error() + ")",
+                  failure_kind::crash);
+            continue;
+        }
+        if ((p.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+        std::vector<frame> frames;
+        const auto status = n.conn.read_frames(frames);
+        for (const auto& f : frames) {
+            if (!n.conn.open()) break;
+            handle_frame(n, f);
+        }
+        if (!n.conn.open()) continue;
+        if (status == frame_conn::io_status::failed)
+            evict(n, "connection failed (" + n.conn.error() + ")",
+                  failure_kind::crash);
+        else if (status == frame_conn::io_status::closed)
+            evict(n, "disconnected", failure_kind::crash);
+    }
+    const auto silence =
+        from_seconds(options_.heartbeat_seconds * heartbeat_grace);
+    const auto tick = steady_clock::now();
+    for (auto& n : nodes_)
+        if (n.conn.open() && tick - n.last_heard > silence)
+            evict(n, "evicted after heartbeat silence", failure_kind::crash);
+    nodes_.erase(std::remove_if(nodes_.begin(), nodes_.end(),
+                                [](const node& n) { return !n.conn.open(); }),
+                 nodes_.end());
+    events_ = nullptr;
+    stats_ = nullptr;
+    return events;
+}
+
+void coordinator::pump(int wait_ms) {
+    std::vector<pollfd> fds;
+    (void)add_poll_fds(fds);
+    if (::poll(fds.data(), static_cast<nfds_t>(fds.size()), wait_ms) >= 0)
+        (void)service(fds, nullptr);
+}
 
 std::size_t coordinator::registered_workers() const noexcept {
-    return impl_->registered_count();
+    return static_cast<std::size_t>(
+        std::count_if(nodes_.begin(), nodes_.end(), [](const node& n) {
+            return n.registered && n.conn.open();
+        }));
 }
 
 }  // namespace pssp::dist

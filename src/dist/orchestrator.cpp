@@ -4,19 +4,20 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include <limits.h>
 #include <unistd.h>
 
 #include "attack/strategy.hpp"
 #include "campaign/allocator.hpp"
 #include "core/scheme.hpp"
 #include "dist/checkpoint.hpp"
+#include "dist/child.hpp"
 #include "dist/supervisor.hpp"
 #include "dist/wire.hpp"
 #include "obs/span.hpp"
@@ -129,8 +130,20 @@ std::string cell_name(const campaign::cell_id& id) {
            "/" + attack::to_string(id.attack);
 }
 
+// Completes a round summary with what every round reports — wall time,
+// per-shard times, recovery totals — and hands it to the telemetry writer
+// and the observer.
 void emit_round(const sharded_options& options, obs::telemetry_writer* writer,
-                const obs::round_summary& summary) {
+                obs::round_summary summary, double wall,
+                std::vector<obs::shard_time> times,
+                const supervise_stats& stats) {
+    summary.wall_seconds = wall;
+    summary.shards = std::move(times);
+    summary.retries = stats.retries;
+    summary.requeued_blocks = stats.requeued_blocks;
+    summary.timeouts = stats.timeouts;
+    summary.evictions = stats.evictions;
+    summary.reconnects = stats.reconnects;
     if (writer != nullptr) writer->append(summary);
     if (options.round_observer) options.round_observer(summary);
 }
@@ -153,7 +166,8 @@ campaign::campaign_spec shard_execution_spec(
 // adaptive rounds routinely have fewer active blocks than shards), so
 // every job is requeueable and resumable as a pure block manifest.
 std::vector<supervised_job> build_round_jobs(
-    const sharded_options& options, const campaign::campaign_spec& shard_spec,
+    const sharded_options& options, bool flight_recorder,
+    const campaign::campaign_spec& shard_spec,
     std::uint64_t digest, std::uint64_t round_number,
     std::span<const campaign::block_ref> blocks) {
     const auto count = static_cast<std::uint32_t>(
@@ -172,7 +186,7 @@ std::vector<supervised_job> build_round_jobs(
         jobs[k].manifest = std::move(rj.manifest);
         jobs[k].shard = k;
         jobs[k].shard_count = count;
-        if (options.flight_recorder)
+        if (flight_recorder)
             jobs[k].flight_path = flight_file_path(options, k);
     }
     return jobs;
@@ -184,31 +198,28 @@ struct round_outcome {
     supervise_stats stats;
 };
 
-// How a round's supervised jobs actually execute: local fork/exec pipes
-// (supervise_jobs) or TCP leases to remote workers (coordinator::run_jobs).
-// Both return the same terminal job_results, so everything downstream —
-// failure aggregation, checkpointing, the merge — is transport-blind.
-using round_executor = std::function<std::vector<job_result>(
-    const std::vector<supervised_job>&, const supervise_hooks&,
-    supervise_stats&)>;
-
-// Runs one round's jobs under supervision. Failed attempts get
-// postmortems and retries; a job that exhausts its budget fails the run
-// with an aggregated error naming every exhausted shard's round, last
+// Runs one round's jobs under run_jobs — on local channels, or on the
+// fleet's nodes when `fleet` is non-null; everything downstream (failure
+// aggregation, checkpointing, the merge) is channel-blind. Failed attempts
+// get postmortems and retries; a job that exhausts its budget fails the
+// run with an aggregated error naming every exhausted shard's round, last
 // failure, argv, and block manifest. `ckpt` non-null appends each job's
 // validated partial as it lands (the fixed path's durable unit);
 // `ingest` non-null feeds the same partials to the result store. Both are
 // per-job hooks, so only the fixed path passes them — the adaptive path
 // persists/ingests whole accepted rounds in its caller instead.
 round_outcome execute_round(
-    const sharded_options& options, const round_executor& exec,
+    const sharded_options& options, coordinator* fleet,
     const std::string& worker, const campaign::campaign_spec& shard_spec,
     std::uint64_t digest, std::uint64_t round_number,
     std::span<const campaign::block_ref> blocks, checkpoint_log* ckpt,
     const std::function<void(std::uint64_t, std::span<const partial_block>)>*
         ingest) {
-    const auto jobs =
-        build_round_jobs(options, shard_spec, digest, round_number, blocks);
+    // Flight recording rides the local channel's environment plumbing;
+    // remote attempts are postmortem'd from their wait status and output.
+    const auto jobs = build_round_jobs(
+        options, options.flight_recorder && fleet == nullptr, shard_spec,
+        digest, round_number, blocks);
     supervise_hooks hooks;
     hooks.on_attempt_failure = [&options, &worker](const supervised_job& job,
                                                    const attempt_record& rec) {
@@ -224,7 +235,8 @@ round_outcome execute_round(
     round_outcome outcome;
     std::vector<job_result> results;
     try {
-        results = exec(jobs, hooks, outcome.stats);
+        results = run_jobs(worker, jobs, options.faults, hooks, outcome.stats,
+                           fleet);
     } catch (...) {
         remove_flight_files(jobs);
         throw;
@@ -281,7 +293,7 @@ std::optional<checkpoint_log> open_checkpoint(const sharded_options& options,
 // checkpointed rounds rebuilds the allocator state bit for bit.
 campaign::campaign_report run_sharded_adaptive(
     const campaign::campaign_spec& spec, const sharded_options& options,
-    const round_executor& exec, const std::string& worker,
+    coordinator* fleet, const std::string& worker,
     obs::telemetry_writer* telemetry, std::optional<checkpoint_log>& ckpt) {
     const auto shard_spec = shard_execution_spec(spec, options);
     const auto digest = spec_digest(spec);
@@ -308,15 +320,9 @@ campaign::campaign_report run_sharded_adaptive(
                 summary.widest_cell = cell_name(ids[c]);
             }
         }
-        summary.wall_seconds = wall;
-        summary.shards = std::move(times);
-        summary.retries = stats.retries;
-        summary.requeued_blocks = stats.requeued_blocks;
-        summary.timeouts = stats.timeouts;
-        summary.evictions = stats.evictions;
-        summary.reconnects = stats.reconnects;
         summary.resumed = resumed;
-        emit_round(options, telemetry, summary);
+        emit_round(options, telemetry, std::move(summary), wall,
+                   std::move(times), stats);
     };
 
     // Replay checkpointed rounds instead of running them. replay_round
@@ -350,7 +356,7 @@ campaign::campaign_report run_sharded_adaptive(
         obs::span sp{"campaign.round", "dist",
                      static_cast<std::int64_t>(round_number)};
         const auto round_start = std::chrono::steady_clock::now();
-        auto outcome = execute_round(options, exec, worker, shard_spec, digest,
+        auto outcome = execute_round(options, fleet, worker, shard_spec, digest,
                                      round_number, round, /*ckpt=*/nullptr,
                                      /*ingest=*/nullptr);
         allocator.record_round(
@@ -394,7 +400,7 @@ campaign::campaign_report run_sharded_adaptive(
 // validates exactly-once coverage either way.
 campaign::campaign_report run_sharded_fixed(
     const campaign::campaign_spec& spec, const sharded_options& options,
-    const round_executor& exec, const std::string& worker,
+    coordinator* fleet, const std::string& worker,
     obs::telemetry_writer* telemetry, std::optional<checkpoint_log>& ckpt) {
     obs::span sp{"campaign.run", "dist"};
     const auto start = std::chrono::steady_clock::now();
@@ -439,7 +445,7 @@ campaign::campaign_report run_sharded_fixed(
 
     round_outcome outcome;
     if (!remaining.empty())
-        outcome = execute_round(options, exec, worker, shard_spec, digest,
+        outcome = execute_round(options, fleet, worker, shard_spec, digest,
                                 /*round_number=*/0, remaining,
                                 ckpt.has_value() ? &*ckpt : nullptr,
                                 options.block_ingest ? &options.block_ingest
@@ -478,18 +484,12 @@ campaign::campaign_report run_sharded_fixed(
                 summary.widest_cell = cell_name(ids[c]);
             }
         }
-        summary.wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count();
-        summary.shards = std::move(outcome.times);
-        summary.retries = outcome.stats.retries;
-        summary.requeued_blocks = outcome.stats.requeued_blocks;
-        summary.timeouts = outcome.stats.timeouts;
-        summary.evictions = outcome.stats.evictions;
-        summary.reconnects = outcome.stats.reconnects;
         summary.resumed = options.resume;
-        emit_round(options, telemetry, summary);
+        emit_round(options, telemetry, std::move(summary),
+                   std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count(),
+                   std::move(outcome.times), outcome.stats);
     }
     return report;
 }
@@ -497,16 +497,7 @@ campaign::campaign_report run_sharded_fixed(
 }  // namespace
 
 std::string default_worker_path() {
-    char buf[PATH_MAX];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        std::string path{buf};
-        const auto slash = path.rfind('/');
-        if (slash != std::string::npos)
-            return path.substr(0, slash + 1) + "tools_campaign_worker";
-    }
-    return "./tools_campaign_worker";
+    return sibling_binary("tools_campaign_worker");
 }
 
 campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
@@ -523,36 +514,20 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
 
     auto ckpt = open_checkpoint(options, spec_digest(spec));
 
-    // The transport: local fork/exec pipes, or a TCP coordinator whose
-    // workers persist across rounds. Same jobs, same classification, same
-    // merge — the report cannot tell them apart.
-    std::optional<coordinator> coord;
-    sharded_options effective = options;
-    round_executor exec;
+    // With options.net every round's attempts lease to the coordinator's
+    // nodes, which stay registered across rounds; otherwise they run on
+    // local pipes and no socket is ever bound.
+    std::unique_ptr<coordinator> fleet;
     if (options.net.has_value()) {
         net_options net = *options.net;
         if (net.worker_path.empty()) net.worker_path = worker;
-        coord.emplace(net, options.faults, spec_digest(spec));
-        // Flight recording rides the local transport's environment plumbing;
-        // remote compute children are postmortem'd from their wait status
-        // and output alone.
-        effective.flight_recorder = false;
-        exec = [&coord](const std::vector<supervised_job>& jobs,
-                        const supervise_hooks& hooks, supervise_stats& stats) {
-            return coord->run_jobs(jobs, hooks, stats);
-        };
-    } else {
-        exec = [&worker, &options](const std::vector<supervised_job>& jobs,
-                                   const supervise_hooks& hooks,
-                                   supervise_stats& stats) {
-            return supervise_jobs(worker, jobs, options.faults, hooks, stats);
-        };
+        fleet = std::make_unique<coordinator>(net, spec_digest(spec));
     }
-
     if (spec.adaptive)
-        return run_sharded_adaptive(spec, effective, exec, worker, telemetry,
-                                    ckpt);
-    return run_sharded_fixed(spec, effective, exec, worker, telemetry, ckpt);
+        return run_sharded_adaptive(spec, options, fleet.get(), worker,
+                                    telemetry, ckpt);
+    return run_sharded_fixed(spec, options, fleet.get(), worker, telemetry,
+                             ckpt);
 }
 
 }  // namespace pssp::dist

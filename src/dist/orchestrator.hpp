@@ -18,8 +18,8 @@
 // report is byte-identical to the in-process adaptive engine at every
 // shard count — the identity oracle extends to adaptive runs unchanged.
 //
-// Failure model: supervised, then loud. Every worker runs under
-// dist::supervise_jobs — a worker that crashes, times out, or emits a bad
+// Failure model: supervised, then loud. Every round runs under
+// dist::run_jobs — a worker that crashes, times out, or emits a bad
 // or wrong-blocks partial has its block manifest requeued with bounded
 // retries and exponential backoff (options.faults), with a postmortem
 // dumped per failed attempt. Requeueing cannot move a report byte:
@@ -109,18 +109,18 @@ struct sharded_options {
     bool resume = false;
 
     // ---- Network transport ----
-    // Engaged: rounds execute over a dist::coordinator (TCP leases to
-    // tools_campaign_node workers) instead of local fork/exec pipes. The
-    // jobs, the classify/requeue loop, the checkpoint log, and the merge
-    // are the same code either way, so the report is byte-identical to
-    // the local path at any worker count or fault schedule. The
-    // fault_policy above governs network retries too.
+    // Engaged: run_jobs leases every attempt to tools_campaign_node
+    // daemons registered with a dist::coordinator (remote channels)
+    // instead of forking local workers. The jobs, the classify/requeue
+    // loop, the checkpoint log, and the merge are the same code either
+    // way, so the report is byte-identical to the local path at any
+    // worker count or fault schedule. The fault_policy above (including
+    // its deadline) governs remote attempts too.
     std::optional<net_options> net;
 };
 
-// The sibling `tools_campaign_worker` of the running executable
-// (/proc/self/exe's directory) — orchestrator and workers are built into
-// the same binary directory.
+// The sibling `tools_campaign_worker` of the running executable —
+// orchestrator and workers are built into the same binary directory.
 [[nodiscard]] std::string default_worker_path();
 
 [[nodiscard]] campaign::campaign_report run_sharded(

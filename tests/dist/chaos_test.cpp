@@ -86,20 +86,22 @@ TEST(dist_chaos, fault_family_selectors_split_process_and_net_rules) {
     // foreign-family rule sits in front.
     const auto plan =
         dist::parse_fault_plan("net-drop:0,crash:0,net-stall-hb:*,hang:*");
-    EXPECT_EQ(dist::decide_process_fault(plan, 0, 0, 1).kind,
+    constexpr auto process = dist::fault_family::process;
+    constexpr auto net = dist::fault_family::net;
+    EXPECT_EQ(dist::decide_fault(plan, 0, 0, 1, process).kind,
               dist::fault_kind::crash);
-    EXPECT_EQ(dist::decide_process_fault(plan, 3, 0, 1).kind,
+    EXPECT_EQ(dist::decide_fault(plan, 3, 0, 1, process).kind,
               dist::fault_kind::hang);
-    EXPECT_EQ(dist::decide_net_fault(plan, 0, 0, 1).kind,
+    EXPECT_EQ(dist::decide_fault(plan, 0, 0, 1, net).kind,
               dist::fault_kind::net_drop);
-    EXPECT_EQ(dist::decide_net_fault(plan, 3, 0, 1).kind,
+    EXPECT_EQ(dist::decide_fault(plan, 3, 0, 1, net).kind,
               dist::fault_kind::net_stall_hb);
     // Unrestricted decide_fault still honours plain plan order.
     EXPECT_EQ(dist::decide_fault(plan, 0, 0, 1).kind,
               dist::fault_kind::net_drop);
     // And a family with no matching rule yields none.
     const auto net_only = dist::parse_fault_plan("net-garble:1");
-    EXPECT_EQ(dist::decide_process_fault(net_only, 1, 0, 1).kind,
+    EXPECT_EQ(dist::decide_fault(net_only, 1, 0, 1, process).kind,
               dist::fault_kind::none);
 }
 

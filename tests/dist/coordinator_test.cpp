@@ -5,19 +5,23 @@
 // fixed and adaptive allocation, under every network fault class the
 // chaos harness can inject, and after a worker vanishes for good. Plus
 // the protocol edges: version-mismatch handshake rejection with the
-// pinned message, and the loud register-wait failure when no fleet ever
-// connects.
+// pinned message, the loud register-wait failure when no fleet ever
+// connects, a misaddressed result from a hand-spoken peer, and a node
+// that must survive malformed frames from a hand-spoken coordinator.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "campaign/engine.hpp"
@@ -69,6 +73,47 @@ dist::sharded_options fleet_options(unsigned shards, unsigned workers) {
 
 std::uint64_t counter_value(const char* name) {
     return obs::value(obs::counter(name));
+}
+
+// ---- Speaking the wire by hand (blocking sockets) ----
+
+// Reads and accepts on `fd` give up after 10 s, so a broken peer fails
+// the test instead of hanging it.
+int with_timeout(int fd) {
+    const timeval tv{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    return fd;
+}
+
+int connect_local(std::uint16_t port) {
+    const int fd =
+        with_timeout(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+// Blocks until one whole frame arrives; nullopt at EOF.
+std::optional<dist::frame> read_frame(int fd, dist::frame_reader& reader) {
+    for (;;) {
+        if (auto f = reader.next()) return f;
+        char buf[4096];
+        const ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n <= 0) return std::nullopt;
+        reader.feed(buf, static_cast<std::size_t>(n));
+    }
+}
+
+bool send_frame(int fd, dist::frame_type type, std::string_view payload) {
+    const auto wire = dist::encode_frame(type, payload);
+    return ::write(fd, wire.data(), wire.size()) ==
+           static_cast<ssize_t>(wire.size());
 }
 
 TEST(dist_coordinator, fleet_reports_byte_identical_at_every_worker_count) {
@@ -153,8 +198,7 @@ TEST(dist_coordinator, version_mismatch_handshake_is_rejected_with_the_pinned_er
     // version_mismatch_error(999) in an error frame, the connection
     // closed, and the worker never registered.
     dist::net_options net;  // no fleet — we are the only "worker"
-    const dist::fault_policy policy;
-    dist::coordinator coord{net, policy, /*spec_digest=*/1};
+    dist::coordinator coord{net, /*spec_digest=*/1};
     ASSERT_NE(coord.port(), 0);
 
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -210,6 +254,152 @@ TEST(dist_coordinator, no_workers_within_register_wait_fails_loudly) {
         EXPECT_STREQ(e.what(),
                      "run_sharded: no registered workers within 0.2s — fleet "
                      "lost or never connected");
+    }
+}
+
+TEST(dist_coordinator, misaddressed_result_is_a_bad_partial_and_evicts_the_peer) {
+    // A peer that answers its lease with the wrong attempt used to leave
+    // the lease held forever (no deadline, heartbeats keep it alive). It
+    // must instead cost that attempt as a bad partial, evict the peer,
+    // and requeue — here onto the same peer's next session, which lies
+    // again until the budget is spent.
+    const auto spec = small_spec();
+    std::vector<dist::supervised_job> jobs(1);
+    dist::round_job rj;
+    rj.spec = spec;
+    rj.manifest.round = 1;
+    rj.manifest.digest = dist::spec_digest(spec);
+    for (const auto& b : campaign::blocks_for(spec))
+        rj.manifest.blocks.push_back(b);
+    jobs[0].args = {"--round", "--shard", "0", "--shards", "1"};
+    jobs[0].input = dist::round_job_to_json(rj);
+    jobs[0].manifest = std::move(rj.manifest);
+    jobs[0].shard_count = 1;
+
+    dist::net_options net;
+    net.heartbeat_seconds = 10.0;  // the peer never heartbeats
+    dist::coordinator coord{net, dist::spec_digest(spec)};
+    std::jthread peer{[port = coord.port()] {
+        for (std::uint64_t session = 0; session < 2; ++session) {
+            const int fd = connect_local(port);
+            if (fd < 0) return;
+            dist::hello_msg hello;
+            hello.name = "liar";
+            hello.reconnects = session;
+            (void)send_frame(fd, dist::frame_type::hello,
+                             dist::hello_to_json(hello));
+            dist::frame_reader reader;
+            while (auto f = read_frame(fd, reader)) {
+                if (f->type != dist::frame_type::lease) continue;
+                std::string_view job_json;
+                const auto env = dist::decode_lease(f->payload, &job_json);
+                dist::result_envelope r;
+                r.shard = env.shard;
+                r.shard_count = env.shard_count;
+                r.attempt = env.attempt + 5;
+                (void)send_frame(fd, dist::frame_type::result,
+                                 dist::encode_result(r, "{}"));
+            }
+            ::close(fd);  // EOF: the coordinator evicted us
+        }
+    }};
+    dist::fault_policy policy;
+    policy.max_attempts = 2;
+    policy.backoff_base_seconds = 0.001;
+    dist::supervise_stats stats;
+    const auto results =
+        dist::run_jobs(dist::default_worker_path(), jobs, policy, {}, stats,
+                       &coord);
+    peer.join();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_FALSE(results[0].ok);
+    ASSERT_EQ(results[0].failures.size(), 2u);
+    for (unsigned a = 1; a <= 2; ++a) {
+        const auto& rec = results[0].failures[a - 1];
+        EXPECT_EQ(rec.attempt, a);
+        EXPECT_EQ(rec.kind, dist::failure_kind::bad_partial);
+        EXPECT_EQ(rec.why, "worker 'liar' sent a result for shard 0 attempt " +
+                               std::to_string(a + 5) +
+                               " while leased shard 0 attempt " +
+                               std::to_string(a));
+    }
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(stats.evictions, 2u);
+}
+
+TEST(dist_coordinator, node_survives_malformed_coordinator_frames) {
+    // A hand-spoken coordinator sends each bad frame. The node used to
+    // die by SIGABRT (an uncaught decode error); it must answer with an
+    // error frame naming the problem, end the session, and exit by the
+    // normal reconnect rule (--retries 0: the next connect is refused).
+    struct bad_case {
+        bool welcome_first;
+        dist::frame_type type;
+        const char* payload;
+        const char* error;
+    };
+    const bad_case cases[] = {
+        {false, dist::frame_type::welcome, R"({"version": 1})",
+         "missing key \"welcome\""},
+        {true, dist::frame_type::lease, "abcde",
+         "lease frame: payload shorter than its 20-byte envelope"},
+    };
+    const std::string node = dist::sibling_binary("tools_campaign_node");
+    for (const auto& c : cases) {
+        const int lfd =
+            with_timeout(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+        ASSERT_GE(lfd, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+        ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+                  0);
+        ASSERT_EQ(::listen(lfd, 4), 0);
+        socklen_t len = sizeof addr;
+        ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len),
+                  0);
+        const std::string endpoint =
+            "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::execl(node.c_str(), node.c_str(), "--connect", endpoint.c_str(),
+                    "--name", "victim", "--retries", "0", "--retry-delay", "1",
+                    static_cast<char*>(nullptr));
+            ::_exit(127);
+        }
+        const int fd = with_timeout(::accept(lfd, nullptr, nullptr));
+        ASSERT_GE(fd, 0);
+        dist::frame_reader reader;
+        const auto hello = read_frame(fd, reader);
+        ASSERT_TRUE(hello.has_value());
+        EXPECT_EQ(hello->type, dist::frame_type::hello);
+        if (c.welcome_first) {
+            ASSERT_TRUE(send_frame(fd, dist::frame_type::welcome,
+                                   dist::welcome_to_json({})));
+        }
+        ASSERT_TRUE(send_frame(fd, c.type, c.payload));
+        std::string error;  // heartbeats may precede it; EOF follows it
+        while (auto f = read_frame(fd, reader))
+            if (f->type == dist::frame_type::error) error = f->payload;
+        ::close(fd);
+        ::close(lfd);  // refuses (or resets) the node's reconnect
+        int status = 0;
+        pid_t done = 0;
+        for (int i = 0; i < 1000 && done == 0; ++i) {
+            done = ::waitpid(pid, &status, WNOHANG);
+            if (done == 0) ::usleep(10000);
+        }
+        if (done == 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+            ADD_FAILURE() << "node did not exit after " << c.error;
+            continue;
+        }
+        EXPECT_NE(error.find(c.error), std::string::npos)
+            << "error frame: " << error;
+        EXPECT_TRUE(WIFEXITED(status))
+            << c.error << ": node died by signal " << WTERMSIG(status);
     }
 }
 

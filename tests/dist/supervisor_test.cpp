@@ -112,14 +112,28 @@ TEST(dist_supervisor, adaptive_round_faults_heal_byte_identically) {
 }
 
 TEST(dist_supervisor, deadline_kills_hung_worker_and_retry_heals) {
+    // The deadline belongs to the shared lease loop, so it must heal a
+    // hung attempt over both channel kinds: a local child is SIGKILLed,
+    // a remote holder (a node whose compute child hangs) is evicted, and
+    // the requeued attempt 2 lands byte-identically either way.
     const auto spec = small_spec();
     const auto reference = campaign::engine{spec}.run().to_json();
     scoped_fault_plan plan{"hang:1"};
-    auto options = fast_options(2);
-    options.faults.timeout_seconds = 1.0;
-    const auto timeouts_before = counter_value("dist.timeouts");
-    EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference);
-    EXPECT_GE(counter_value("dist.timeouts") - timeouts_before, 1u);
+    for (const unsigned workers : {0u, 2u}) {
+        auto options = fast_options(2);
+        options.faults.timeout_seconds = 1.0;
+        if (workers != 0) {
+            dist::net_options net;
+            net.fleet_workers = workers;
+            net.heartbeat_seconds = 0.1;
+            options.net = net;
+        }
+        const auto timeouts_before = counter_value("dist.timeouts");
+        EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference)
+            << "workers: " << workers;
+        EXPECT_GE(counter_value("dist.timeouts") - timeouts_before, 1u)
+            << "workers: " << workers;
+    }
 }
 
 TEST(dist_supervisor, exhausted_retries_fail_loudly_with_full_context) {
@@ -330,8 +344,7 @@ TEST(dist_supervisor, backoff_never_blocks_a_healthy_shard) {
     };
     dist::supervise_stats stats;
     const auto results =
-        dist::supervise_jobs(dist::default_worker_path(), jobs, policy, hooks,
-                             stats);
+        dist::run_jobs(dist::default_worker_path(), jobs, policy, hooks, stats);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_TRUE(results[0].ok);
     EXPECT_TRUE(results[1].ok);

@@ -2,16 +2,19 @@
 //
 // Connects to a coordinator (`--connect host:port`), registers with a
 // hello/welcome handshake, then serves leases: each lease frame carries
-// the *same* round-job JSON the local pipe transport feeds over stdin,
-// so the node just fork/execs the sibling `tools_campaign_worker` with
-// the standard argv (--round --shard K --shards N) and environment
-// (PSSP_CAMPAIGN_ROUND / PSSP_CAMPAIGN_ATTEMPT) and streams the child's
-// raw stdout back in a result frame together with its wait status. The
-// coordinator classifies that exactly like the local supervisor — the
-// compute layer cannot tell the transports apart.
+// the *same* round-job JSON the local channel feeds over stdin, so the
+// node fork/execs the sibling `tools_campaign_worker` through the same
+// child driver (dist/child.hpp) with the standard argv (--round --shard K
+// --shards N) and environment (PSSP_CAMPAIGN_ROUND /
+// PSSP_CAMPAIGN_ATTEMPT) and streams the child's raw stdout back in a
+// result frame together with its wait status. run_jobs classifies that
+// exactly like a local attempt — the compute layer cannot tell the
+// channel kinds apart.
 //
 // Liveness: one poll() loop drives the socket and the compute child's
-// pipes together, so heartbeats keep flowing while a lease computes. If
+// pipes together, so heartbeats keep flowing while a lease computes. A
+// malformed coordinator frame ends the session with an error frame, never
+// the process. If
 // the coordinator goes away mid-lease (eviction, crash, network cut) the
 // child is SIGKILLed — its lease has been requeued on a survivor; letting
 // it finish would only waste cycles — and the node reconnects and
@@ -25,27 +28,26 @@
 // permanently-vanished worker). Process faults ride through unchanged to
 // the compute child, which selects them itself.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <ctime>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <fcntl.h>
-#include <limits.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <csignal>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "dist/chaos.hpp"
+#include "dist/child.hpp"
 #include "dist/frame.hpp"
 
 namespace {
@@ -62,24 +64,6 @@ int usage(const char* argv0) {
         "compute worker (default: the sibling tools_campaign_worker).\n",
         argv0);
     return 2;
-}
-
-std::string sibling(const char* name) {
-    char buf[PATH_MAX];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        std::string path{buf};
-        const auto slash = path.rfind('/');
-        if (slash != std::string::npos)
-            return path.substr(0, slash + 1) + name;
-    }
-    return std::string{"./"} + name;
-}
-
-void set_nonblocking(int fd) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 int connect_to(const std::string& host, const std::string& port) {
@@ -106,7 +90,7 @@ int connect_to(const std::string& host, const std::string& port) {
     if (fd >= 0) {
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        set_nonblocking(fd);
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
     }
     return fd;
 }
@@ -118,32 +102,6 @@ std::uint64_t now_ms() {
            static_cast<std::uint64_t>(ts.tv_nsec) / 1000000u;
 }
 
-// The compute child of one lease, driven by the session poll loop.
-struct compute_child {
-    pid_t pid = -1;
-    int in_fd = -1;   // write end of the child's stdin
-    int out_fd = -1;  // read end of the child's stdout
-    std::string input;
-    std::size_t in_off = 0;
-    std::string output;
-    lease_envelope env;
-    fault_rule net_fault;  // applied when the result is ready
-
-    [[nodiscard]] bool running() const { return pid >= 0; }
-
-    void kill_and_reap() {
-        if (pid < 0) return;
-        ::kill(pid, SIGKILL);
-        int status = 0;
-        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        pid = -1;
-        if (in_fd >= 0) ::close(in_fd);
-        if (out_fd >= 0) ::close(out_fd);
-        in_fd = out_fd = -1;
-    }
-};
-
 struct node_config {
     std::string host;
     std::string port;
@@ -153,11 +111,50 @@ struct node_config {
     unsigned retry_delay_ms = 250;
 };
 
+// Sends the compute child's result, applying the lease's net fault.
+// Returns false when the connection is poisoned.
+bool respond(const node_config& cfg, frame_conn& conn,
+             const lease_envelope& env, const fault_rule& nf, int status,
+             const std::string& output) {
+    result_envelope renv;
+    renv.shard = env.shard;
+    renv.shard_count = env.shard_count;
+    renv.attempt = env.attempt;
+    renv.wait_status = status;
+    if (nf.kind == fault_kind::net_delay)
+        ::usleep(static_cast<useconds_t>(nf.param * 1000));
+    if (nf.kind != fault_kind::net_garble) {
+        conn.queue(frame_type::result, encode_result(renv, output));
+        return true;
+    }
+    // Flip one trailer byte so the coordinator's integrity hash catches
+    // it; write raw, bypassing the frame queue.
+    std::fprintf(stderr, "%s: injected net-garble on shard %u\n",
+                 cfg.name.c_str(), env.shard);
+    auto raw = encode_frame(frame_type::result, encode_result(renv, output));
+    raw.back() = static_cast<char>(raw.back() ^ 0x5a);
+    std::size_t off = 0;
+    while (off < raw.size()) {
+        const ssize_t n =
+            ::write(conn.fd(), raw.data() + off, raw.size() - off);
+        if (n > 0) {
+            off += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 &&
+            (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
+            continue;
+        return false;
+    }
+    return true;
+}
+
 // One connected session. Returns true to reconnect, false to exit the
 // process (shutdown, net-die, fatal coordinator error). `connected` is
 // set once the TCP connect succeeds, so the caller can distinguish a lost
 // session (counts as a reconnect) from a coordinator that was never
-// reachable.
+// reachable. A compute child still running when the session ends is
+// SIGKILLed by its destructor: its lease has been requeued elsewhere.
 bool run_session(const node_config& cfg, const fault_plan& plan,
                  std::uint64_t reconnects, bool& connected) {
     const int fd = connect_to(cfg.host, cfg.port);
@@ -173,119 +170,87 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
     bool welcomed = false;
     bool stall_heartbeats = false;
     std::uint64_t last_beat = now_ms();
-    compute_child child;
+    child_process child;
+    lease_envelope lease;
+    fault_rule lease_fault;  // net fault applied when the result is ready
 
-    auto spawn_child = [&](const lease_envelope& env, std::string job_json,
-                           const fault_rule& net_fault) -> bool {
-        int in_pipe[2];
-        int out_pipe[2];
-        if (::pipe2(in_pipe, O_CLOEXEC) != 0) return false;
-        if (::pipe2(out_pipe, O_CLOEXEC) != 0) {
-            ::close(in_pipe[0]);
-            ::close(in_pipe[1]);
-            return false;
-        }
-        const pid_t pid = ::fork();
-        if (pid < 0) {
-            ::close(in_pipe[0]);
-            ::close(in_pipe[1]);
-            ::close(out_pipe[0]);
-            ::close(out_pipe[1]);
-            return false;
-        }
-        if (pid == 0) {
-            ::dup2(in_pipe[0], STDIN_FILENO);
-            ::dup2(out_pipe[1], STDOUT_FILENO);
-            ::close(in_pipe[0]);
-            ::close(out_pipe[1]);
-            // The same env contract the local supervisor exports.
-            ::setenv(fault_round_env, std::to_string(env.round).c_str(), 1);
-            ::setenv(fault_attempt_env, std::to_string(env.attempt).c_str(), 1);
-            const std::string shard_s = std::to_string(env.shard);
-            const std::string shards_s = std::to_string(env.shard_count);
-            const char* argv[] = {cfg.worker.c_str(), "--round",  "--shard",
-                                  shard_s.c_str(),    "--shards", shards_s.c_str(),
-                                  nullptr};
-            ::execv(cfg.worker.c_str(), const_cast<char* const*>(argv));
-            std::fprintf(stderr, "campaign node: worker exec failed: %s: %s\n",
-                         cfg.worker.c_str(), std::strerror(errno));
-            ::_exit(127);
-        }
-        ::close(in_pipe[0]);
-        ::close(out_pipe[1]);
-        set_nonblocking(in_pipe[1]);
-        set_nonblocking(out_pipe[0]);
-        child.pid = pid;
-        child.in_fd = in_pipe[1];
-        child.out_fd = out_pipe[0];
-        child.input = std::move(job_json);
-        child.in_off = 0;
-        child.output.clear();
-        child.env = env;
-        child.net_fault = net_fault;
-        return true;
-    };
-
-    auto finish_child_and_respond = [&]() -> bool {  // false = conn poisoned
-        int status = 0;
-        while (::waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        child.pid = -1;
-        if (child.in_fd >= 0) ::close(child.in_fd);
-        child.in_fd = -1;
-        result_envelope renv;
-        renv.shard = child.env.shard;
-        renv.shard_count = child.env.shard_count;
-        renv.attempt = child.env.attempt;
-        renv.wait_status = status;
-        const auto& nf = child.net_fault;
-        if (nf.kind == fault_kind::net_delay)
-            ::usleep(static_cast<useconds_t>(nf.param * 1000));
-        if (nf.kind == fault_kind::net_garble) {
-            // Flip one trailer byte so the coordinator's integrity hash
-            // catches it; write raw, bypassing the frame queue.
-            std::fprintf(stderr, "%s: injected net-garble on shard %u\n",
-                         cfg.name.c_str(), child.env.shard);
-            auto raw = encode_frame(frame_type::result,
-                                    encode_result(renv, child.output));
-            raw.back() = static_cast<char>(raw.back() ^ 0x5a);
-            std::size_t off = 0;
-            while (off < raw.size()) {
-                const ssize_t n =
-                    ::write(conn.fd(), raw.data() + off, raw.size() - off);
-                if (n > 0) {
-                    off += static_cast<std::size_t>(n);
-                    continue;
+    // Handles one coordinator frame: 1 = carry on, 0 = exit, -1 = reconnect.
+    // Throws on a malformed payload.
+    auto handle = [&](const frame& f) -> int {
+        switch (f.type) {
+            case frame_type::welcome:
+                heartbeat_ms = std::max<std::uint64_t>(
+                    1, welcome_from_json(f.payload).heartbeat_ms);
+                welcomed = true;
+                return 1;
+            case frame_type::lease: {
+                std::string_view job_json;
+                const auto env = decode_lease(f.payload, &job_json);
+                const auto nf = decide_fault(plan, env.shard, env.round,
+                                             env.attempt, fault_family::net);
+                switch (nf.kind) {
+                    case fault_kind::net_die:
+                        std::fprintf(stderr, "%s: injected net-die\n",
+                                     cfg.name.c_str());
+                        return 0;  // vanish for good
+                    case fault_kind::net_drop:
+                        std::fprintf(stderr, "%s: injected net-drop\n",
+                                     cfg.name.c_str());
+                        return -1;  // reconnect; requeued lease heals
+                    case fault_kind::net_partition:
+                        std::fprintf(stderr,
+                                     "%s: injected net-partition (%llums)\n",
+                                     cfg.name.c_str(),
+                                     static_cast<unsigned long long>(nf.param));
+                        ::usleep(static_cast<useconds_t>(nf.param * 1000));
+                        return -1;  // partition lifted: reconnect
+                    case fault_kind::net_stall_hb:
+                        std::fprintf(stderr, "%s: injected net-stall-hb\n",
+                                     cfg.name.c_str());
+                        stall_heartbeats = true;
+                        return 1;  // take no lease; wait for eviction
+                    default:
+                        break;
                 }
-                if (n < 0 && (errno == EINTR || errno == EAGAIN ||
-                              errno == EWOULDBLOCK))
-                    continue;
-                return false;
+                if (child.running()) {
+                    // Protocol breach: capacity is one lease.
+                    conn.queue(frame_type::error, "node already holds a lease");
+                    return 1;
+                }
+                // The same argv and env contract as the local channel.
+                const std::vector<std::string> args{
+                    "--round", "--shard", std::to_string(env.shard),
+                    "--shards", std::to_string(env.shard_count)};
+                if (!child.spawn(cfg.worker, args,
+                                 {{fault_round_env, std::to_string(env.round)},
+                                  {fault_attempt_env,
+                                   std::to_string(env.attempt)}},
+                                 std::string{job_json})
+                         .empty()) {
+                    conn.queue(frame_type::error,
+                               "node failed to spawn the worker");
+                    return 1;
+                }
+                lease = env;
+                lease_fault = nf;
+                return 1;
             }
-            return true;
+            case frame_type::shutdown:
+                return 0;  // clean exit
+            case frame_type::error:
+                std::fprintf(stderr, "%s: coordinator refused us: %s\n",
+                             cfg.name.c_str(), f.payload.c_str());
+                return 0;  // e.g. version mismatch: do not retry
+            default:
+                return 1;
         }
-        conn.queue(frame_type::result, encode_result(renv, child.output));
-        return true;
     };
 
     for (;;) {
-        pollfd fds[3];
-        nfds_t nfds = 0;
-        fds[nfds++] = pollfd{conn.fd(),
-                             static_cast<short>(POLLIN | (conn.wants_write()
-                                                              ? POLLOUT
-                                                              : 0)),
-                             0};
-        int child_in_slot = -1;
-        int child_out_slot = -1;
-        if (child.running() && child.in_fd >= 0) {
-            child_in_slot = static_cast<int>(nfds);
-            fds[nfds++] = pollfd{child.in_fd, POLLOUT, 0};
-        }
-        if (child.running() && child.out_fd >= 0) {
-            child_out_slot = static_cast<int>(nfds);
-            fds[nfds++] = pollfd{child.out_fd, POLLIN, 0};
-        }
+        const short events =
+            static_cast<short>(POLLIN | (conn.wants_write() ? POLLOUT : 0));
+        std::vector<pollfd> fds{pollfd{conn.fd(), events, 0}};
+        child.add_poll_fds(fds);
         const std::uint64_t now = now_ms();
         const std::uint64_t next_beat = last_beat + heartbeat_ms;
         // Stalled heartbeats (net-stall-hb) must not busy-spin on an
@@ -297,8 +262,8 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
                                        ? std::min<std::uint64_t>(
                                              next_beat - now, 60000)
                                        : 0);
-        const int rc = ::poll(fds, nfds, welcomed ? wait_ms : 1000);
-        if (rc < 0) {
+        if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                   welcomed ? wait_ms : 1000) < 0) {
             if (errno != EINTR) return true;
             continue;  // revents are undefined after EINTR
         }
@@ -310,130 +275,32 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
             last_beat = now_ms();
         }
 
-        if ((fds[0].revents & POLLOUT) != 0 && !conn.pump_writes()) {
-            child.kill_and_reap();
-            return true;
-        }
+        if ((fds[0].revents & POLLOUT) != 0 && !conn.pump_writes()) return true;
         if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
             std::vector<frame> frames;
             const auto status = conn.read_frames(frames);
-            for (auto& f : frames) {
-                switch (f.type) {
-                    case frame_type::welcome: {
-                        const auto w = welcome_from_json(f.payload);
-                        heartbeat_ms = std::max<std::uint64_t>(1, w.heartbeat_ms);
-                        welcomed = true;
-                        break;
-                    }
-                    case frame_type::lease: {
-                        std::string_view job_json;
-                        const auto env = decode_lease(f.payload, &job_json);
-                        const auto nf = decide_net_fault(plan, env.shard,
-                                                         env.round, env.attempt);
-                        if (nf.kind == fault_kind::net_die) {
-                            std::fprintf(stderr, "%s: injected net-die\n",
-                                         cfg.name.c_str());
-                            child.kill_and_reap();
-                            return false;  // vanish for good
-                        }
-                        if (nf.kind == fault_kind::net_drop) {
-                            std::fprintf(stderr, "%s: injected net-drop\n",
-                                         cfg.name.c_str());
-                            child.kill_and_reap();
-                            return true;  // reconnect; requeued lease heals
-                        }
-                        if (nf.kind == fault_kind::net_partition) {
-                            std::fprintf(stderr,
-                                         "%s: injected net-partition (%llums)\n",
-                                         cfg.name.c_str(),
-                                         static_cast<unsigned long long>(
-                                             nf.param));
-                            ::usleep(static_cast<useconds_t>(nf.param * 1000));
-                            child.kill_and_reap();
-                            return true;  // partition lifted: reconnect
-                        }
-                        if (nf.kind == fault_kind::net_stall_hb) {
-                            std::fprintf(stderr, "%s: injected net-stall-hb\n",
-                                         cfg.name.c_str());
-                            stall_heartbeats = true;
-                            break;  // take no lease; wait for eviction
-                        }
-                        if (child.running()) {
-                            // Protocol breach: capacity is one lease.
-                            conn.queue(frame_type::error,
-                                       "node already holds a lease");
-                            break;
-                        }
-                        if (!spawn_child(env, std::string{job_json}, nf)) {
-                            conn.queue(frame_type::error,
-                                       "node failed to spawn the worker");
-                            break;
-                        }
-                        if (child.input.empty()) {
-                            ::close(child.in_fd);
-                            child.in_fd = -1;
-                        }
-                        break;
-                    }
-                    case frame_type::shutdown:
-                        child.kill_and_reap();
-                        return false;  // clean exit
-                    case frame_type::error:
-                        std::fprintf(stderr, "%s: coordinator refused us: %s\n",
-                                     cfg.name.c_str(), f.payload.c_str());
-                        child.kill_and_reap();
-                        return false;  // e.g. version mismatch: do not retry
-                    default:
-                        break;
-                }
-            }
-            if (status != frame_conn::io_status::ok) {
-                // Coordinator gone (eviction, kill, cut). The lease we hold
-                // has been requeued elsewhere — stop burning cycles on it.
-                child.kill_and_reap();
+            try {
+                for (const auto& f : frames)
+                    if (const int next = handle(f); next != 1) return next < 0;
+            } catch (const std::exception& e) {
+                // A malformed frame from the coordinator ends the session,
+                // never the process: say why, then reconnect.
+                std::fprintf(stderr, "%s: bad frame from coordinator: %s\n",
+                             cfg.name.c_str(), e.what());
+                conn.queue(frame_type::error, e.what());
+                (void)conn.pump_writes();
                 return true;
             }
+            // Coordinator gone (eviction, kill, cut). The lease we hold
+            // has been requeued elsewhere — stop burning cycles on it.
+            if (status != frame_conn::io_status::ok) return true;
         }
 
-        if (child_in_slot >= 0 && (fds[child_in_slot].revents &
-                                   (POLLOUT | POLLERR | POLLHUP)) != 0) {
-            while (child.in_off < child.input.size()) {
-                const ssize_t n =
-                    ::write(child.in_fd, child.input.data() + child.in_off,
-                            child.input.size() - child.in_off);
-                if (n > 0) {
-                    child.in_off += static_cast<std::size_t>(n);
-                    continue;
-                }
-                if (n < 0 && errno == EINTR) continue;
-                if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-                child.in_off = child.input.size();  // EPIPE: child will say why
-                break;
-            }
-            if (child.in_off >= child.input.size()) {
-                ::close(child.in_fd);
-                child.in_fd = -1;
-            }
-        }
-        if (child_out_slot >= 0 &&
-            (fds[child_out_slot].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-            char buf[1 << 16];
-            for (;;) {
-                const ssize_t n = ::read(child.out_fd, buf, sizeof buf);
-                if (n > 0) {
-                    child.output.append(buf, static_cast<std::size_t>(n));
-                    continue;
-                }
-                if (n < 0 && errno == EINTR) continue;
-                if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-                ::close(child.out_fd);
-                child.out_fd = -1;
-                break;
-            }
-            if (child.out_fd < 0) {
-                if (!finish_child_and_respond()) return true;
-            }
-        }
+        for (std::size_t i = 1; i < fds.size(); ++i) child.service(fds[i]);
+        if (child.running() && child.output_done() &&
+            !respond(cfg, conn, lease, lease_fault, child.reap(),
+                     child.output()))
+            return true;
     }
 }
 
@@ -469,11 +336,12 @@ int main(int argc, char** argv) {
     if (endpoint.empty() || colon == std::string::npos) return usage(argv[0]);
     cfg.host = endpoint.substr(0, colon);
     cfg.port = endpoint.substr(colon + 1);
-    if (cfg.worker.empty()) cfg.worker = sibling("tools_campaign_worker");
+    if (cfg.worker.empty())
+        cfg.worker = sibling_binary("tools_campaign_worker");
 
     // A coordinator dying mid-write must surface as a failed write, not
     // SIGPIPE killing the node.
-    std::signal(SIGPIPE, SIG_IGN);
+    const scoped_sigpipe_ignore ignore_pipe;
 
     fault_plan plan;
     if (const char* plan_text = std::getenv(pssp::dist::fault_plan_env)) {

@@ -82,9 +82,10 @@ void usage(const char* argv0) {
                  "               default; stderr only, stdout untouched)\n"
                  "  --max-attempts N  attempts per worker job before the run\n"
                  "               fails loudly (default 3; 1 = fail fast)\n"
-                 "  --timeout S  per-attempt worker deadline in seconds;\n"
-                 "               overdue workers are SIGKILLed and retried\n"
-                 "               (default 0 = no deadline)\n"
+                 "  --timeout S  per-attempt deadline in seconds; an overdue\n"
+                 "               local worker is SIGKILLed, an overdue node\n"
+                 "               evicted, and the job retried (default 0 =\n"
+                 "               no deadline)\n"
                  "  --backoff S  base retry backoff in seconds, doubled per\n"
                  "               failed attempt (default 0.05)\n"
                  "  --checkpoint DIR  persist validated block partials to a\n"
@@ -96,9 +97,6 @@ void usage(const char* argv0) {
                  "  --kill-after-round N  test hook: raise(SIGKILL) right\n"
                  "               after round N is checkpointed — simulates an\n"
                  "               orchestrator crash for --resume testing\n"
-                 "  --faults-json PATH  recovery counters as JSON after the\n"
-                 "               run (retries, requeued blocks, timeouts,\n"
-                 "               crashes, spawned workers, wall seconds)\n"
                  "  --store DIR  stream every accepted block partial and\n"
                  "               round summary into a columnar result store\n"
                  "               in DIR (query with tools_campaign_query;\n"
@@ -109,7 +107,9 @@ void usage(const char* argv0) {
                  "               segments every N rounds (default 4; 0 =\n"
                  "               only at finalize)\n"
                  "  --metrics-out PATH  dump the obs metric registry as\n"
-                 "               deterministic JSON at exit ('-' = stdout)\n"
+                 "               deterministic JSON at exit ('-' = stdout),\n"
+                 "               including the recovery (dist.retries, ...)\n"
+                 "               and network (dist.net.*) counters\n"
                  "  --workers N  network fleet mode: run rounds over a TCP\n"
                  "               coordinator that self-spawns N localhost\n"
                  "               tools_campaign_node daemons. The report is\n"
@@ -120,17 +120,11 @@ void usage(const char* argv0) {
                  "               start tools_campaign_node --connect HOST:PORT\n"
                  "               on the workers yourself (0 = ephemeral port,\n"
                  "               printed on stderr)\n"
-                 "  --lease S    per-lease deadline in seconds before the\n"
-                 "               holder is evicted and the job requeued\n"
-                 "               (default: --timeout, 0 = no deadline)\n"
                  "  --heartbeat S  worker heartbeat interval in seconds\n"
                  "               (default 0.25); a worker silent for 8\n"
                  "               intervals is evicted\n"
                  "  --register-wait S  seconds to wait for the first worker\n"
-                 "               registration before failing (default 30)\n"
-                 "  --net-json PATH  network transport counters as JSON after\n"
-                 "               the run (connections, leases, heartbeats,\n"
-                 "               evictions, reconnects, requeues)\n",
+                 "               registration before failing (default 30)\n",
                  argv0);
 }
 
@@ -175,17 +169,14 @@ int main(int argc, char** argv) {
     std::vector<unsigned> scaling;
     bool table = false;
     bool progress = false;
-    const char* faults_json_path = nullptr;
     unsigned long long kill_after_round = 0;
     const char* store_dir = nullptr;
     unsigned long long store_compact = 4;
     const char* metrics_out_path = nullptr;
     unsigned net_workers = 0;
     const char* listen_spec = nullptr;
-    double lease_seconds = 0.0;
     double heartbeat_seconds = 0.0;
     double register_wait_seconds = 0.0;
-    const char* net_json_path = nullptr;
 
     for (int i = 1; i < argc; ++i) {
         auto next_value = [&](const char* flag) -> const char* {
@@ -274,8 +265,6 @@ int main(int argc, char** argv) {
         } else if (!std::strcmp(argv[i], "--kill-after-round")) {
             kill_after_round =
                 std::strtoull(next_value("--kill-after-round"), nullptr, 10);
-        } else if (!std::strcmp(argv[i], "--faults-json")) {
-            faults_json_path = next_value("--faults-json");
         } else if (!std::strcmp(argv[i], "--store")) {
             store_dir = next_value("--store");
         } else if (!std::strcmp(argv[i], "--store-compact")) {
@@ -292,15 +281,11 @@ int main(int argc, char** argv) {
             }
         } else if (!std::strcmp(argv[i], "--listen")) {
             listen_spec = next_value("--listen");
-        } else if (!std::strcmp(argv[i], "--lease")) {
-            lease_seconds = std::strtod(next_value("--lease"), nullptr);
         } else if (!std::strcmp(argv[i], "--heartbeat")) {
             heartbeat_seconds = std::strtod(next_value("--heartbeat"), nullptr);
         } else if (!std::strcmp(argv[i], "--register-wait")) {
             register_wait_seconds =
                 std::strtod(next_value("--register-wait"), nullptr);
-        } else if (!std::strcmp(argv[i], "--net-json")) {
-            net_json_path = next_value("--net-json");
         } else {
             usage(argv[0]);
             return 2;
@@ -363,7 +348,6 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "coordinator listening on %s:%u\n",
                          host.c_str(), static_cast<unsigned>(port));
         };
-        if (lease_seconds > 0.0) net.lease_seconds = lease_seconds;
         if (heartbeat_seconds > 0.0) net.heartbeat_seconds = heartbeat_seconds;
         if (register_wait_seconds > 0.0)
             net.register_wait_seconds = register_wait_seconds;
@@ -503,12 +487,7 @@ int main(int argc, char** argv) {
             return dump_trace() && dump_metrics() ? 0 : 1;
         }
 
-        const auto run_start = std::chrono::steady_clock::now();
         const auto report = dist::run_sharded(spec, options);
-        const double run_seconds = std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() -
-                                       run_start)
-                                       .count();
         if (result_store.has_value()) {
             result_store->finalize(report, obs::metrics_json());
             std::fprintf(
@@ -526,58 +505,6 @@ int main(int argc, char** argv) {
         if (json_path != nullptr &&
             !write_text(json_path, report.to_json() + "\n"))
             return 1;
-        if (faults_json_path != nullptr) {
-            // Recovery counters from the obs registry (side channel;
-            // registration is idempotent, so these ids match the
-            // supervisor's). All zeros on a clean run.
-            auto count = [](const char* name) {
-                return static_cast<unsigned long long>(
-                    obs::value(obs::counter(name)));
-            };
-            char buf[512];
-            std::snprintf(
-                buf, sizeof buf,
-                "{\n  \"bench\": \"dist_faults\",\n"
-                "  \"wall_seconds\": %.3f,\n"
-                "  \"shards\": %u,\n  \"max_attempts\": %u,\n"
-                "  \"timeout_seconds\": %.3f,\n"
-                "  \"spawned_workers\": %llu,\n  \"retries\": %llu,\n"
-                "  \"requeued_blocks\": %llu,\n  \"timeouts\": %llu,\n"
-                "  \"crashes\": %llu,\n  \"bad_partials\": %llu\n}\n",
-                run_seconds, options.shards, options.faults.max_attempts,
-                options.faults.timeout_seconds, count("dist.spawned_workers"),
-                count("dist.retries"), count("dist.requeued_blocks"),
-                count("dist.timeouts"), count("dist.crashes"),
-                count("dist.bad_partials"));
-            if (!write_text(faults_json_path, buf)) return 1;
-        }
-        if (net_json_path != nullptr) {
-            // Network transport counters (obs registry side channel; all
-            // names registered idempotently by the coordinator). A clean
-            // fleet run shows connections == workers and zero evictions.
-            auto count = [](const char* name) {
-                return static_cast<unsigned long long>(
-                    obs::value(obs::counter(name)));
-            };
-            char buf[512];
-            std::snprintf(
-                buf, sizeof buf,
-                "{\n  \"bench\": \"dist_net\",\n"
-                "  \"wall_seconds\": %.3f,\n"
-                "  \"shards\": %u,\n  \"workers\": %u,\n"
-                "  \"connections\": %llu,\n  \"leases\": %llu,\n"
-                "  \"heartbeats\": %llu,\n  \"evictions\": %llu,\n"
-                "  \"reconnects\": %llu,\n  \"retries\": %llu,\n"
-                "  \"requeued_blocks\": %llu,\n  \"timeouts\": %llu,\n"
-                "  \"crashes\": %llu\n}\n",
-                run_seconds, options.shards, net_workers,
-                count("dist.net.connections"), count("dist.net.leases"),
-                count("dist.net.heartbeats"), count("dist.net.evictions"),
-                count("dist.net.reconnects"), count("dist.retries"),
-                count("dist.requeued_blocks"), count("dist.timeouts"),
-                count("dist.crashes"));
-            if (!write_text(net_json_path, buf)) return 1;
-        }
         return dump_trace() && dump_metrics() ? 0 : 1;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());

@@ -199,11 +199,12 @@ int main(int argc, char** argv) {
             const char* attempt_env = std::getenv(pssp::dist::fault_attempt_env);
             // Process faults only: net-* rules in a mixed plan belong to
             // the node daemon's transport loop, never to this process.
-            fault = pssp::dist::decide_process_fault(
+            fault = pssp::dist::decide_fault(
                 plan, static_cast<std::uint64_t>(shard),
                 round_env != nullptr ? std::strtoull(round_env, nullptr, 10) : 0,
                 attempt_env != nullptr ? std::strtoull(attempt_env, nullptr, 10)
-                                       : 1);
+                                       : 1,
+                pssp::dist::fault_family::process);
         } catch (const std::exception& e) {
             std::fprintf(stderr, "shard %ld: %s\n", shard, e.what());
             return 2;
