@@ -17,8 +17,8 @@ double cell_ci_halfwidth(const cell_partial& merged) {
 
 adaptive_allocator::adaptive_allocator(campaign_spec spec)
     : spec_{std::move(spec)} {
-    if (!std::isfinite(spec_.target_ci_halfwidth) ||
-        spec_.target_ci_halfwidth < 0.0)
+    if (spec_.adaptive && (!std::isfinite(spec_.target_ci_halfwidth) ||
+                           spec_.target_ci_halfwidth < 0.0))
         throw std::invalid_argument{
             "adaptive_allocator: target_ci_halfwidth must be finite and >= 0"};
     canonical_ = blocks_for(spec_);
@@ -33,6 +33,7 @@ adaptive_allocator::adaptive_allocator(campaign_spec spec)
 }
 
 std::uint64_t adaptive_allocator::round_budget() const noexcept {
+    if (!spec_.adaptive) return canonical_.size();  // one all-blocks round
     if (spec_.round_blocks != 0) return spec_.round_blocks;
     // Breadth-first default: one block per cell per round. Deliberately a
     // function of the spec alone — never of jobs or shard count.
@@ -41,7 +42,9 @@ std::uint64_t adaptive_allocator::round_budget() const noexcept {
 
 bool adaptive_allocator::converged(const cell_state& c) const {
     // The stop rule, in one place: the trial floor (capped by the budget so
-    // an over-large floor cannot deadlock) and the CI target.
+    // an over-large floor cannot deadlock) and the CI target. A fixed
+    // campaign never stops a cell early.
+    if (!spec_.adaptive) return false;
     const std::uint64_t floor =
         std::min(spec_.min_trials_per_cell, spec_.trials_per_cell);
     return c.merged.trials >= floor &&
@@ -135,7 +138,7 @@ void adaptive_allocator::record_round(std::span<const block_ref> blocks,
 void adaptive_allocator::replay_round(std::uint64_t round,
                                       std::span<const block_ref> blocks,
                                       std::span<const cell_partial> partials) {
-    if (round != rounds_completed_ + 1)
+    if (round != round_number())
         throw std::runtime_error{
             "adaptive_allocator: replay out of order (checkpoint round " +
             std::to_string(round) + " after " +
@@ -170,14 +173,6 @@ bool adaptive_allocator::done() const {
     return true;
 }
 
-std::uint64_t adaptive_allocator::cell_trials(std::uint64_t cell) const {
-    return cells_.at(cell).merged.trials;
-}
-
-double adaptive_allocator::cell_halfwidth(std::uint64_t cell) const {
-    return cell_ci_halfwidth(cells_.at(cell).merged);
-}
-
 bool adaptive_allocator::cell_converged(std::uint64_t cell) const {
     return converged(cells_.at(cell));
 }
@@ -200,6 +195,25 @@ campaign_report adaptive_allocator::report() const {
     const auto blocks = executed_blocks();
     const auto partials = executed_partials();
     return assemble_report(spec_, blocks, partials);
+}
+
+obs::round_summary adaptive_allocator::summarize_round(
+    std::uint64_t round, std::span<const block_ref> blocks) const {
+    obs::round_summary summary;
+    summary.round = round;
+    summary.blocks = blocks.size();
+    for (const auto& b : blocks) summary.trials += b.trials;
+    summary.cumulative_trials = trials_run_;
+    const auto ids = cells_for(spec_);
+    for (std::uint64_t c = 0; c < cells_.size(); ++c) {
+        if (converged(cells_[c])) continue;
+        const double hw = cell_ci_halfwidth(cells_[c].merged);
+        if (hw > summary.max_halfwidth) {
+            summary.max_halfwidth = hw;
+            summary.widest_cell = cell_name(ids[c]);
+        }
+    }
+    return summary;
 }
 
 }  // namespace pssp::campaign

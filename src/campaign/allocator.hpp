@@ -1,4 +1,10 @@
-// Deterministic round-based adaptive trial allocation.
+// Deterministic round-based trial allocation — the only one there is.
+//
+// A fixed campaign (spec.adaptive == false) is a single round numbered 0
+// that holds every block of campaign::blocks_for(spec) in canonical order;
+// no cell ever counts as converged, and the adaptive knobs
+// (target_ci_halfwidth, round_blocks, min_trials_per_cell) are ignored.
+// Everything below is about adaptive campaigns.
 //
 // Fixed allocation runs trials_per_cell trials in every cell even though
 // Table I's probabilities differ across cells by orders of magnitude — a
@@ -21,13 +27,13 @@
 //    could depend on merge order.
 //  * A cell's executed blocks are always a prefix of its canonical blocks,
 //    so the final report is campaign::assemble_report over a subset of
-//    blocks_for(spec) in canonical order — the same reduction the fixed
-//    engine and the dist merge bottom out in.
+//    blocks_for(spec) in canonical order — the same reduction every
+//    campaign bottoms out in.
 //
 // The engine's round loop (in-process) and the dist orchestrator's round
-// fan-out (multi-process) both drive exactly this class, which is why an
-// adaptive campaign is byte-identical at any --jobs level and any shard
-// count.
+// fan-out (multi-process) both drive exactly this class, fixed or adaptive,
+// which is why a campaign is byte-identical at any --jobs level and any
+// shard count.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +41,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "obs/telemetry.hpp"
 
 namespace pssp::campaign {
 
@@ -46,15 +53,17 @@ namespace pssp::campaign {
 
 class adaptive_allocator {
   public:
-    // Validates the adaptive knobs (target_ci_halfwidth must be finite and
-    // >= 0). Degenerate specs (empty axis, trials_per_cell == 0) are legal
-    // and simply start out done().
+    // Validates the adaptive knobs of an adaptive spec (target_ci_halfwidth
+    // must be finite and >= 0); a fixed spec's are never read. Degenerate
+    // specs (empty axis, trials_per_cell == 0) are legal and simply start
+    // out done().
     explicit adaptive_allocator(campaign_spec spec);
 
     // The next round's blocks, ascending by canonical block index. Empty
     // means the campaign is finished (every cell converged or exhausted
-    // its trials_per_cell budget). Throws std::logic_error if the previous
-    // round has not been record_round()ed yet.
+    // its trials_per_cell budget; a fixed campaign after its one round).
+    // Throws std::logic_error if the previous round has not been
+    // record_round()ed yet.
     [[nodiscard]] std::vector<block_ref> plan_round();
 
     // Records a completed round: `blocks` must be exactly the last
@@ -78,17 +87,20 @@ class adaptive_allocator {
     [[nodiscard]] std::uint64_t rounds_completed() const noexcept {
         return rounds_completed_;
     }
+    // The number of the round in flight (or, between rounds, of the next
+    // one): 0 for a fixed campaign's single round, 1..N for adaptive
+    // rounds. Workers, checkpoints and telemetry all carry this number.
+    [[nodiscard]] std::uint64_t round_number() const noexcept {
+        return spec_.adaptive ? rounds_completed_ + 1 : 0;
+    }
     // Trials recorded so far — the quantity the savings benchmark compares
     // against spec.trial_count().
     [[nodiscard]] std::uint64_t trials_run() const noexcept {
         return trials_run_;
     }
 
-    // Per-cell introspection (cell indexed as in campaign::cells_for).
-    [[nodiscard]] std::uint64_t cell_trials(std::uint64_t cell) const;
-    [[nodiscard]] double cell_halfwidth(std::uint64_t cell) const;
     // Converged = stopped because the CI target was met (not merely
-    // because the budget ran out).
+    // because the budget ran out); cell indexed as in campaign::cells_for.
     [[nodiscard]] bool cell_converged(std::uint64_t cell) const;
 
     // Every block recorded so far, ascending by canonical index, with its
@@ -99,6 +111,13 @@ class adaptive_allocator {
     // The campaign report over the executed blocks (typically called once
     // done(); legal earlier for progress snapshots).
     [[nodiscard]] campaign_report report() const;
+
+    // The telemetry line for a just-recorded round `round` of `blocks`:
+    // blocks and trials issued, cumulative trials, and the widest Wilson
+    // half-width among the cells not yet converged. Wall time, shard times
+    // and recovery totals are the caller's to fill in.
+    [[nodiscard]] obs::round_summary summarize_round(
+        std::uint64_t round, std::span<const block_ref> blocks) const;
 
   private:
     struct cell_state {

@@ -74,6 +74,11 @@ std::vector<cell_id> cells_for(const campaign_spec& spec) {
     return cells;
 }
 
+std::string cell_name(const cell_id& id) {
+    return workload::to_string(id.target) + "/" + core::to_string(id.scheme) +
+           "/" + attack::to_string(id.attack);
+}
+
 std::vector<block_ref> blocks_for(const campaign_spec& spec) {
     const std::uint64_t cell_count = spec.cell_count();
     const std::uint64_t per_cell =

@@ -51,7 +51,8 @@ struct campaign_spec {
     // (the hard cap); converged cells spend less of it. Unlike jobs and
     // reuse_masters these four knobs ARE outcome-relevant — they decide
     // which trials run — so they are part of the report, the wire spec,
-    // and the spec digest.
+    // and the spec digest. When false the campaign is a single round 0
+    // holding every block, and the other three knobs are ignored.
     bool adaptive = false;
     // Stop a cell once BOTH its detection and hijack Wilson 95% CI
     // half-widths are at or below this. 0 never stops early (a Wilson
@@ -140,6 +141,8 @@ struct cell_id {
     attack::attack_kind attack{};
 };
 [[nodiscard]] std::vector<cell_id> cells_for(const campaign_spec& spec);
+// "target/scheme/attack", the cell naming telemetry and the store share.
+[[nodiscard]] std::string cell_name(const cell_id& id);
 
 // One canonical reduction block: `trials` consecutive trials of cell
 // `cell` starting at global trial index `first_trial`. blocks_for() lists

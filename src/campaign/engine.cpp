@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -88,11 +87,6 @@ trial_result run_trial(const cell_key& cell, const campaign_spec& spec,
     };
 }
 
-std::string cell_name(const cell_id& id) {
-    return workload::to_string(id.target) + "/" + core::to_string(id.scheme) +
-           "/" + attack::to_string(id.attack);
-}
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
@@ -107,10 +101,7 @@ engine::engine(campaign_spec spec) : spec_{std::move(spec)} {
             "campaign::engine: spec needs >= 1 scheme, attack and target"};
     if (spec_.trials_per_cell == 0)
         throw std::invalid_argument{"campaign::engine: trials_per_cell == 0"};
-    if (spec_.adaptive && (!std::isfinite(spec_.target_ci_halfwidth) ||
-                           spec_.target_ci_halfwidth < 0.0))
-        throw std::invalid_argument{
-            "campaign::engine: target_ci_halfwidth must be finite and >= 0"};
+    (void)adaptive_allocator{spec_};  // rejects bad allocation knobs up front
     // DCR's brute-force model needs the victim's true link offset in the
     // low canary half; no static victim property supplies it, and running
     // with a wrong offset reports a hijack rate of 0 that is
@@ -127,64 +118,24 @@ engine::engine(campaign_spec spec) : spec_{std::move(spec)} {
 }
 
 campaign_report engine::run() {
-    if (!spec_.adaptive) {
-        obs::span sp{"campaign.run", "campaign"};
-        const auto start = std::chrono::steady_clock::now();
-        const auto blocks = blocks_for(spec_);
-        const auto partials = run_blocks(blocks);
-        auto report = assemble_report(spec_, blocks, partials);
-        if (round_observer_) {
-            // One line for the whole fixed campaign (round 0); the widest
-            // cell is the one adaptive allocation would have fed first.
-            obs::round_summary summary;
-            summary.round = 0;
-            summary.blocks = blocks.size();
-            summary.trials = report.total_trials();
-            summary.cumulative_trials = summary.trials;
-            const auto ids = cells_for(spec_);
-            for (std::size_t c = 0; c < report.cells.size(); ++c) {
-                const double hw =
-                    std::max(report.cells[c].detection_ci.half_width(),
-                             report.cells[c].hijack_ci.half_width());
-                if (hw > summary.max_halfwidth) {
-                    summary.max_halfwidth = hw;
-                    summary.widest_cell = cell_name(ids[c]);
-                }
-            }
-            summary.wall_seconds = seconds_since(start);
-            round_observer_(summary);
-        }
-        return report;
-    }
-    // Adaptive round loop: plan -> execute -> record until every cell has
-    // converged or exhausted its budget. The allocator's decisions are pure
+    // The round loop: plan -> execute -> record until the allocator has
+    // nothing left to plan — one all-blocks round 0 for a fixed campaign,
+    // rounds 1..N for an adaptive one. The allocator's decisions are pure
     // functions of the merged partials, and run_blocks partials are pure
     // functions of (master_seed, block), so this loop reproduces the dist
     // orchestrator's sharded round loop byte for byte.
     adaptive_allocator allocator{spec_};
-    const auto ids = cells_for(spec_);
     for (;;) {
         const auto round = allocator.plan_round();
         if (round.empty()) break;
+        const std::uint64_t number = allocator.round_number();
         obs::span sp{"campaign.round", "campaign",
-                     static_cast<std::int64_t>(allocator.rounds_completed() + 1)};
+                     static_cast<std::int64_t>(number)};
         const auto start = std::chrono::steady_clock::now();
         const auto partials = run_blocks(round);
         allocator.record_round(round, partials);
         if (round_observer_) {
-            obs::round_summary summary;
-            summary.round = allocator.rounds_completed();
-            summary.blocks = round.size();
-            for (const auto& b : round) summary.trials += b.trials;
-            summary.cumulative_trials = allocator.trials_run();
-            for (std::uint64_t c = 0; c < ids.size(); ++c) {
-                if (allocator.cell_converged(c)) continue;
-                const double hw = allocator.cell_halfwidth(c);
-                if (hw > summary.max_halfwidth) {
-                    summary.max_halfwidth = hw;
-                    summary.widest_cell = cell_name(ids[c]);
-                }
-            }
+            auto summary = allocator.summarize_round(number, round);
             summary.wall_seconds = seconds_since(start);
             round_observer_(summary);
         }

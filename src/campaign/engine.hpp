@@ -42,15 +42,12 @@ class engine {
     explicit engine(campaign_spec spec);
 
     // Runs the whole campaign and reduces it. Victim builds (one compile +
-    // link per (target, scheme)) happen up front on the calling thread;
-    // trials fan out across spec.jobs workers. Throws if any trial threw.
-    // Fixed allocation: equivalent to run_blocks(blocks_for(spec)) +
-    // assemble_report — that IS the implementation, so a sharded run that
-    // merges partial blocks reproduces this report byte-for-byte.
-    // Adaptive allocation (spec.adaptive): drives campaign::
-    // adaptive_allocator round by round through the same run_blocks path,
-    // so the report is byte-identical to the dist orchestrator's sharded
-    // adaptive run at any --jobs level.
+    // link per (target, scheme)) happen on the calling thread; trials fan
+    // out across spec.jobs workers. Throws if any trial threw. Drives
+    // campaign::adaptive_allocator round by round through run_blocks — a
+    // fixed campaign is its single round 0 over blocks_for(spec), an
+    // adaptive one rounds 1..N — so the report is byte-identical to the
+    // dist orchestrator's sharded run of the same spec at any --jobs level.
     [[nodiscard]] campaign_report run();
 
     // Runs exactly the given blocks (a subset of blocks_for(spec), any
@@ -72,8 +69,9 @@ class engine {
     }
 
     // Optional telemetry observer, called once per completed round from
-    // run() — after each adaptive round (round 1..N) or once for a fixed
-    // campaign (round 0). Strictly a side channel: the summary is computed
+    // run() (adaptive_allocator::summarize_round) — after each adaptive
+    // round 1..N, or once for a fixed campaign's round 0. Strictly a side
+    // channel: the summary is computed
     // from the same merged partials the report is, and nothing the
     // observer does can reach back into allocation or reduction.
     void set_round_observer(std::function<void(const obs::round_summary&)> fn) {

@@ -10,9 +10,10 @@
 //                      Resume refuses a directory whose digest does not
 //                      match the running spec — a checkpoint can never be
 //                      silently merged into a different campaign.
-//   <dir>/rounds.log   append-only JSONL, one entry per durable unit of
-//                      progress (one adaptive round, or one fixed-run
-//                      shard job). Each line carries its own FNV-1a 64
+//   <dir>/rounds.log   append-only JSONL, one entry per accepted round —
+//                      the durable unit of progress for every run: a fixed
+//                      campaign's single round 0, or each adaptive round
+//                      1..N. Each line carries its own FNV-1a 64
 //                      integrity hash over the entry body:
 //
 //                        {"ckpt":{"round":N,"blocks":[...]},"fnv":"<16hex>"}
@@ -30,7 +31,11 @@
 // entry, or an entry failing its integrity hash (a single flipped
 // hexfloat digit trips it) throws with the file and 1-based line number.
 // Silent resume from corrupt state is impossible — a damaged checkpoint
-// must be deleted explicitly, never quietly half-trusted.
+// must be deleted explicitly, never quietly half-trusted. The orchestrator
+// replays the entries through campaign::adaptive_allocator::replay_round,
+// which rejects a round that is not the one this spec plans next (a log
+// from another campaign, or a fixed run's log split into several round-0
+// lines), again naming the log line.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +49,7 @@ namespace pssp::dist {
 
 inline constexpr std::uint32_t checkpoint_version = 1;
 
-// One durable unit of replayed progress.
+// One accepted round of replayed progress.
 struct checkpoint_entry {
     std::uint64_t round = 0;
     std::vector<partial_block> blocks;

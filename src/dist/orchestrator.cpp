@@ -13,16 +13,13 @@
 
 #include <unistd.h>
 
-#include "attack/strategy.hpp"
 #include "campaign/allocator.hpp"
-#include "core/scheme.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/child.hpp"
 #include "dist/supervisor.hpp"
 #include "dist/wire.hpp"
 #include "obs/span.hpp"
 #include "util/json.hpp"
-#include "workload/victim.hpp"
 
 namespace pssp::dist {
 
@@ -125,11 +122,6 @@ void write_postmortem(const sharded_options& options, const std::string& worker,
     std::fprintf(stderr, "dist: wrote %s\n", path.c_str());
 }
 
-std::string cell_name(const campaign::cell_id& id) {
-    return workload::to_string(id.target) + "/" + core::to_string(id.scheme) +
-           "/" + attack::to_string(id.attack);
-}
-
 // Completes a round summary with what every round reports — wall time,
 // per-shard times, recovery totals — and hands it to the telemetry writer
 // and the observer.
@@ -163,8 +155,8 @@ campaign::campaign_spec shard_execution_spec(
 // One supervised manifest job per shard for one round: the round's block
 // list split round-robin by position, every worker told exactly which
 // canonical blocks it owns. A shard with no blocks is not spawned (late
-// adaptive rounds routinely have fewer active blocks than shards), so
-// every job is requeueable and resumable as a pure block manifest.
+// adaptive rounds, and small fixed campaigns, routinely have fewer blocks
+// than shards), so every job is requeueable as a pure block manifest.
 std::vector<supervised_job> build_round_jobs(
     const sharded_options& options, bool flight_recorder,
     const campaign::campaign_spec& shard_spec,
@@ -180,7 +172,7 @@ std::vector<supervised_job> build_round_jobs(
         rj.manifest.digest = digest;
         for (std::size_t p = k; p < blocks.size(); p += count)
             rj.manifest.blocks.push_back(blocks[p]);
-        jobs[k].args = {"--round", "--shard", std::to_string(k), "--shards",
+        jobs[k].args = {"--shard", std::to_string(k), "--shards",
                         std::to_string(count)};
         jobs[k].input = round_job_to_json(rj);
         jobs[k].manifest = std::move(rj.manifest);
@@ -203,18 +195,12 @@ struct round_outcome {
 // aggregation, checkpointing, the merge) is channel-blind. Failed attempts
 // get postmortems and retries; a job that exhausts its budget fails the
 // run with an aggregated error naming every exhausted shard's round, last
-// failure, argv, and block manifest. `ckpt` non-null appends each job's
-// validated partial as it lands (the fixed path's durable unit);
-// `ingest` non-null feeds the same partials to the result store. Both are
-// per-job hooks, so only the fixed path passes them — the adaptive path
-// persists/ingests whole accepted rounds in its caller instead.
+// failure, argv, and block manifest.
 round_outcome execute_round(
     const sharded_options& options, coordinator* fleet,
     const std::string& worker, const campaign::campaign_spec& shard_spec,
     std::uint64_t digest, std::uint64_t round_number,
-    std::span<const campaign::block_ref> blocks, checkpoint_log* ckpt,
-    const std::function<void(std::uint64_t, std::span<const partial_block>)>*
-        ingest) {
+    std::span<const campaign::block_ref> blocks) {
     // Flight recording rides the local channel's environment plumbing;
     // remote attempts are postmortem'd from their wait status and output.
     const auto jobs = build_round_jobs(
@@ -225,13 +211,6 @@ round_outcome execute_round(
                                                    const attempt_record& rec) {
         write_postmortem(options, worker, job, rec);
     };
-    if (ckpt != nullptr || ingest != nullptr)
-        hooks.on_job_success = [ckpt, ingest, round_number](
-                                   const supervised_job&,
-                                   const partial_report& p) {
-            if (ckpt != nullptr) ckpt->append(round_number, p.blocks);
-            if (ingest != nullptr) (*ingest)(round_number, p.blocks);
-        };
     round_outcome outcome;
     std::vector<job_result> results;
     try {
@@ -265,8 +244,6 @@ round_outcome execute_round(
     return outcome;
 }
 
-// ---- Checkpoint plumbing shared by the fixed and adaptive paths ----
-
 // Opens (resume) or creates the checkpoint named by the options; null
 // when checkpointing is off.
 std::optional<checkpoint_log> open_checkpoint(const sharded_options& options,
@@ -282,216 +259,41 @@ std::optional<checkpoint_log> open_checkpoint(const sharded_options& options,
     return checkpoint_log::create(options.checkpoint_dir, digest);
 }
 
-// ---- The adaptive round loop ----
-//
-// The allocator runs in the parent; each round's block list becomes
-// supervised manifest jobs. Allocation decisions consume only merged
-// partials, and block partials are pure functions of (master_seed, block),
-// so this reproduces engine{spec}.run() byte for byte at any shard count,
-// any retry pattern, and across any kill/resume boundary: a round is
-// checkpointed only after record_round() accepted it, and replaying the
-// checkpointed rounds rebuilds the allocator state bit for bit.
-campaign::campaign_report run_sharded_adaptive(
-    const campaign::campaign_spec& spec, const sharded_options& options,
-    coordinator* fleet, const std::string& worker,
-    obs::telemetry_writer* telemetry, std::optional<checkpoint_log>& ckpt) {
-    const auto shard_spec = shard_execution_spec(spec, options);
-    const auto digest = spec_digest(spec);
-    const auto ids = campaign::cells_for(spec);
-    campaign::adaptive_allocator allocator{spec};
-
-    const bool emit_summaries =
-        telemetry != nullptr || static_cast<bool>(options.round_observer);
-    auto emit_summary = [&](std::uint64_t round_blocks,
-                            std::uint64_t round_trials, double wall,
-                            std::vector<obs::shard_time> times,
-                            const supervise_stats& stats, bool resumed) {
-        if (!emit_summaries) return;
-        obs::round_summary summary;
-        summary.round = allocator.rounds_completed();
-        summary.blocks = round_blocks;
-        summary.trials = round_trials;
-        summary.cumulative_trials = allocator.trials_run();
-        for (std::uint64_t c = 0; c < ids.size(); ++c) {
-            if (allocator.cell_converged(c)) continue;
-            const double hw = allocator.cell_halfwidth(c);
-            if (hw > summary.max_halfwidth) {
-                summary.max_halfwidth = hw;
-                summary.widest_cell = cell_name(ids[c]);
-            }
+// Feeds every checkpointed round back through the allocator instead of
+// running it. replay_round re-plans each round and validates the entry
+// against the plan, so a log from a different spec — or one with the
+// wrong round structure — fails loudly, naming the log line.
+void replay_checkpoint(const checkpoint_log& ckpt,
+                       campaign::adaptive_allocator& allocator,
+                       const sharded_options& options,
+                       obs::telemetry_writer* telemetry) {
+    const auto& entries = ckpt.recorded();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const auto& entry = entries[i];
+        std::vector<campaign::block_ref> blocks;
+        std::vector<campaign::cell_partial> partials;
+        blocks.reserve(entry.blocks.size());
+        partials.reserve(entry.blocks.size());
+        for (const auto& b : entry.blocks) {
+            blocks.push_back(
+                campaign::block_ref{b.index, b.cell, 0, b.partial.trials});
+            partials.push_back(b.partial);
         }
-        summary.resumed = resumed;
-        emit_round(options, telemetry, std::move(summary), wall,
-                   std::move(times), stats);
-    };
-
-    // Replay checkpointed rounds instead of running them. replay_round
-    // re-plans each round and validates the checkpoint against the plan,
-    // so a checkpoint from a different spec fails loudly here.
-    if (ckpt.has_value()) {
-        for (const auto& entry : ckpt->recorded()) {
-            std::vector<campaign::block_ref> blocks;
-            std::vector<campaign::cell_partial> partials;
-            blocks.reserve(entry.blocks.size());
-            partials.reserve(entry.blocks.size());
-            std::uint64_t trials = 0;
-            for (const auto& b : entry.blocks) {
-                blocks.push_back(campaign::block_ref{b.index, b.cell, 0,
-                                                     b.partial.trials});
-                partials.push_back(b.partial);
-                trials += b.partial.trials;
-            }
+        try {
             allocator.replay_round(entry.round, blocks, partials);
-            if (options.block_ingest)
-                options.block_ingest(entry.round, entry.blocks);
-            emit_summary(entry.blocks.size(), trials, 0.0, {}, {},
-                         /*resumed=*/true);
+        } catch (const std::exception& e) {
+            throw std::runtime_error{"checkpoint: " + ckpt.directory() +
+                                     "/rounds.log line " +
+                                     std::to_string(i + 1) + ": " + e.what()};
+        }
+        if (options.block_ingest)
+            options.block_ingest(entry.round, entry.blocks);
+        if (telemetry != nullptr || options.round_observer) {
+            auto summary = allocator.summarize_round(entry.round, blocks);
+            summary.resumed = true;
+            emit_round(options, telemetry, std::move(summary), 0.0, {}, {});
         }
     }
-
-    for (;;) {
-        const auto round = allocator.plan_round();
-        if (round.empty()) break;
-        const std::uint64_t round_number = allocator.rounds_completed() + 1;
-        obs::span sp{"campaign.round", "dist",
-                     static_cast<std::int64_t>(round_number)};
-        const auto round_start = std::chrono::steady_clock::now();
-        auto outcome = execute_round(options, fleet, worker, shard_spec, digest,
-                                     round_number, round, /*ckpt=*/nullptr,
-                                     /*ingest=*/nullptr);
-        allocator.record_round(
-            round,
-            collect_block_partials(spec, round, outcome.partials, round_number));
-        if (ckpt.has_value() || options.block_ingest) {
-            // The durable unit is one *accepted* round, persisted before
-            // any observer runs — so a --kill-after-round harness (or a
-            // real death between rounds) always leaves the round it just
-            // saw on disk. Blocks are reassembled into round order from
-            // the round-robin job split. The store ingests the identical
-            // round-ordered list, after the checkpoint append.
-            const std::size_t count = outcome.partials.size();
-            std::vector<partial_block> entry_blocks;
-            entry_blocks.reserve(round.size());
-            for (std::size_t p = 0; p < round.size(); ++p)
-                entry_blocks.push_back(
-                    outcome.partials[p % count].blocks[p / count]);
-            if (ckpt.has_value()) ckpt->append(round_number, entry_blocks);
-            if (options.block_ingest)
-                options.block_ingest(round_number, entry_blocks);
-        }
-        std::uint64_t round_trials = 0;
-        for (const auto& b : round) round_trials += b.trials;
-        emit_summary(round.size(), round_trials,
-                     std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - round_start)
-                         .count(),
-                     std::move(outcome.times), outcome.stats,
-                     /*resumed=*/false);
-    }
-    return allocator.report();
-}
-
-// ---- The fixed path ----
-//
-// One supervised manifest job per shard over blocks_for(spec), round 0.
-// With a checkpoint, each shard job's validated partial is appended as it
-// lands; resume re-runs only the blocks the log does not already hold and
-// merges the checkpointed blocks as one synthesized partial — the merge
-// validates exactly-once coverage either way.
-campaign::campaign_report run_sharded_fixed(
-    const campaign::campaign_spec& spec, const sharded_options& options,
-    coordinator* fleet, const std::string& worker,
-    obs::telemetry_writer* telemetry, std::optional<checkpoint_log>& ckpt) {
-    obs::span sp{"campaign.run", "dist"};
-    const auto start = std::chrono::steady_clock::now();
-    const auto shard_spec = shard_execution_spec(spec, options);
-    const auto digest = spec_digest(spec);
-    const auto all_blocks = campaign::blocks_for(spec);
-
-    // Blocks already durable in the checkpoint, validated against the
-    // canonical block space before they are trusted.
-    std::vector<partial_block> restored;
-    std::vector<bool> recorded(all_blocks.size(), false);
-    if (ckpt.has_value()) {
-        for (const auto& entry : ckpt->recorded()) {
-            if (entry.round != 0)
-                throw std::runtime_error{
-                    "checkpoint: " + options.checkpoint_dir +
-                    " records adaptive round " + std::to_string(entry.round) +
-                    " but this run is fixed-allocation — checkpoint belongs "
-                    "to a different campaign"};
-            for (const auto& b : entry.blocks) {
-                if (b.index >= all_blocks.size() ||
-                    b.cell != all_blocks[b.index].cell ||
-                    b.partial.trials != all_blocks[b.index].trials)
-                    throw std::runtime_error{
-                        "checkpoint: " + options.checkpoint_dir +
-                        " records block " + std::to_string(b.index) +
-                        " that does not exist in this campaign's block "
-                        "space — checkpoint belongs to a different campaign"};
-                if (recorded[b.index])
-                    throw std::runtime_error{
-                        "checkpoint: " + options.checkpoint_dir +
-                        " records block " + std::to_string(b.index) +
-                        " twice — the log is damaged"};
-                recorded[b.index] = true;
-                restored.push_back(b);
-            }
-        }
-    }
-    std::vector<campaign::block_ref> remaining;
-    for (const auto& b : all_blocks)
-        if (!recorded[b.index]) remaining.push_back(b);
-
-    round_outcome outcome;
-    if (!remaining.empty())
-        outcome = execute_round(options, fleet, worker, shard_spec, digest,
-                                /*round_number=*/0, remaining,
-                                ckpt.has_value() ? &*ckpt : nullptr,
-                                options.block_ingest ? &options.block_ingest
-                                                     : nullptr);
-
-    auto partials = std::move(outcome.partials);
-    if (!restored.empty()) {
-        std::sort(restored.begin(), restored.end(),
-                  [](const partial_block& a, const partial_block& b) {
-                      return a.index < b.index;
-                  });
-        // Checkpoint-restored blocks reach the store too (a resumed run's
-        // store may predate the kill, so most of these dedup away).
-        if (options.block_ingest) options.block_ingest(0, restored);
-        partial_report replayed;
-        replayed.round = 0;
-        replayed.digest = digest;
-        replayed.blocks = std::move(restored);
-        partials.push_back(std::move(replayed));
-    }
-    auto report = merge_partials(spec, partials);
-
-    if (telemetry != nullptr || options.round_observer) {
-        // Fixed allocation has no rounds; telemetry reports round 0.
-        obs::round_summary summary;
-        summary.round = 0;
-        summary.blocks = all_blocks.size();
-        summary.trials = report.total_trials();
-        summary.cumulative_trials = summary.trials;
-        const auto ids = campaign::cells_for(spec);
-        for (std::size_t c = 0; c < report.cells.size(); ++c) {
-            const double hw = std::max(report.cells[c].detection_ci.half_width(),
-                                       report.cells[c].hijack_ci.half_width());
-            if (hw > summary.max_halfwidth) {
-                summary.max_halfwidth = hw;
-                summary.widest_cell = cell_name(ids[c]);
-            }
-        }
-        summary.resumed = options.resume;
-        emit_round(options, telemetry, std::move(summary),
-                   std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count(),
-                   std::move(outcome.times), outcome.stats);
-    }
-    return report;
 }
 
 }  // namespace
@@ -512,7 +314,9 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
     if (!options.telemetry_path.empty() && writer.open(options.telemetry_path))
         telemetry = &writer;
 
-    auto ckpt = open_checkpoint(options, spec_digest(spec));
+    const auto digest = spec_digest(spec);
+    campaign::adaptive_allocator allocator{spec};
+    auto ckpt = open_checkpoint(options, digest);
 
     // With options.net every round's attempts lease to the coordinator's
     // nodes, which stay registered across rounds; otherwise they run on
@@ -521,13 +325,59 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
     if (options.net.has_value()) {
         net_options net = *options.net;
         if (net.worker_path.empty()) net.worker_path = worker;
-        fleet = std::make_unique<coordinator>(net, spec_digest(spec));
+        fleet = std::make_unique<coordinator>(net, digest);
     }
-    if (spec.adaptive)
-        return run_sharded_adaptive(spec, options, fleet.get(), worker,
-                                    telemetry, ckpt);
-    return run_sharded_fixed(spec, options, fleet.get(), worker, telemetry,
-                             ckpt);
+
+    // The round loop. The allocator runs in the parent — one all-blocks
+    // round 0 for a fixed campaign, rounds 1..N for an adaptive one — and
+    // each round's block list becomes supervised manifest jobs. Allocation
+    // decisions consume only merged partials, and block partials are pure
+    // functions of (master_seed, block), so this reproduces
+    // engine{spec}.run() byte for byte at any shard count, any retry
+    // pattern, and across any kill/resume boundary: a round is checkpointed
+    // only after record_round() accepted it, and replaying the checkpointed
+    // rounds rebuilds the allocator state bit for bit.
+    const auto shard_spec = shard_execution_spec(spec, options);
+    if (ckpt.has_value())
+        replay_checkpoint(*ckpt, allocator, options, telemetry);
+    for (;;) {
+        const auto round = allocator.plan_round();
+        if (round.empty()) break;
+        const std::uint64_t number = allocator.round_number();
+        obs::span sp{"campaign.round", "dist",
+                     static_cast<std::int64_t>(number)};
+        const auto start = std::chrono::steady_clock::now();
+        auto outcome = execute_round(options, fleet.get(), worker, shard_spec,
+                                     digest, number, round);
+        allocator.record_round(
+            round,
+            collect_block_partials(spec, round, outcome.partials, number));
+        if (ckpt.has_value() || options.block_ingest) {
+            // The durable unit is one *accepted* round, persisted before
+            // any observer runs — so a --kill-after-round harness (or a
+            // real death between rounds) always leaves the round it just
+            // saw on disk. Blocks are reassembled into round order from
+            // the round-robin job split. The store ingests the identical
+            // round-ordered list, after the checkpoint append.
+            const std::size_t count = outcome.partials.size();
+            std::vector<partial_block> entry_blocks;
+            entry_blocks.reserve(round.size());
+            for (std::size_t p = 0; p < round.size(); ++p)
+                entry_blocks.push_back(
+                    outcome.partials[p % count].blocks[p / count]);
+            if (ckpt.has_value()) ckpt->append(number, entry_blocks);
+            if (options.block_ingest)
+                options.block_ingest(number, entry_blocks);
+        }
+        if (telemetry != nullptr || options.round_observer)
+            emit_round(options, telemetry,
+                       allocator.summarize_round(number, round),
+                       std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count(),
+                       std::move(outcome.times), outcome.stats);
+    }
+    return allocator.report();
 }
 
 }  // namespace pssp::dist

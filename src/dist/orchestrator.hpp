@@ -1,22 +1,17 @@
 // Multi-process campaign fan-out.
 //
-// Fixed allocation: run_sharded() fork/execs one `tools_campaign_worker`
-// per shard, hands each its spec over stdin (wire spec JSON plus
-// --shard K --shards N on argv), collects every worker's partial report
-// from its stdout pipe, and reduces via wire::merge_partials — which
-// bottoms out in the same campaign::assemble_report the in-process engine
-// uses, so the merged report is byte-identical to engine{spec}.run() at
-// every shard count.
-//
-// Adaptive allocation (spec.adaptive): the orchestrator drives
-// campaign::adaptive_allocator itself. Each round it splits the round's
-// block list round-robin by position across the shards, fork/execs one
-// `--round` worker per non-empty slice with an explicit block manifest
-// (wire round-job JSON) on stdin, validates exactly-once coverage of the
-// round, records the merged partials, and asks the allocator for the next
-// round. Decisions are pure functions of merged partials, so the final
-// report is byte-identical to the in-process adaptive engine at every
-// shard count — the identity oracle extends to adaptive runs unchanged.
+// run_sharded() drives campaign::adaptive_allocator in the parent, round by
+// round: a fixed campaign is one round numbered 0 holding every block of
+// blocks_for(spec); an adaptive one runs rounds 1..N until every cell has
+// converged or spent its budget. Each round's block list is split
+// round-robin by position across the shards, and one
+// `tools_campaign_worker` per non-empty slice runs it from an explicit
+// block manifest (wire round-job JSON on stdin, partial report on stdout).
+// The orchestrator validates exactly-once coverage of the round
+// (wire::collect_block_partials), records the merged partials, and asks the
+// allocator for the next round. Decisions are pure functions of merged
+// partials, so the final report is byte-identical to the in-process engine
+// at every shard count.
 //
 // Failure model: supervised, then loud. Every round runs under
 // dist::run_jobs — a worker that crashes, times out, or emits a bad
@@ -24,17 +19,19 @@
 // retries and exponential backoff (options.faults), with a postmortem
 // dumped per failed attempt. Requeueing cannot move a report byte:
 // block partials are pure functions of (master_seed, block) and
-// wire::merge_partials enforces exactly-once coverage, so at-least-once
-// execution + dedup-by-block preserves identity. Only when a job exhausts
-// its retry budget does the run fail, with a std::runtime_error naming
-// every exhausted shard, its round, its last failure, its argv, and its
-// block manifest — trials are never silently dropped.
+// wire::collect_block_partials enforces exactly-once coverage, so
+// at-least-once execution + dedup-by-block preserves identity. Only when a
+// job exhausts its retry budget does the run fail, with a
+// std::runtime_error naming every exhausted shard, its round, its last
+// failure, its argv, and its block manifest — trials are never silently
+// dropped.
 //
-// Checkpoint/resume (options.checkpoint_dir): validated block partials
-// are persisted incrementally through dist::checkpoint_log — per shard
-// job for fixed runs, per recorded round for adaptive runs — so a run
-// whose *orchestrator* dies can be resumed (options.resume) and produce a
-// byte-identical report while re-running only the missing work.
+// Checkpoint/resume (options.checkpoint_dir): the durable unit is one
+// accepted round, fixed or adaptive, persisted through dist::checkpoint_log
+// — so a run whose *orchestrator* dies can be resumed (options.resume) and
+// produce a byte-identical report, replaying the logged rounds through the
+// allocator and running only the rounds after them. A fixed campaign has
+// one round, so a fixed run killed mid-way re-runs all of its blocks.
 #pragma once
 
 #include <functional>
@@ -64,8 +61,8 @@ struct sharded_options {
     // (tests/campaign/telemetry_identity_test.cpp pins that); they only
     // record what happened.
 
-    // Run-summary JSONL destination ('-' = stderr): one line per adaptive
-    // round, or a single round-0 line for a fixed run, with blocks/trials
+    // Run-summary JSONL destination ('-' = stderr): one line per round (a
+    // fixed run has the single round 0), with blocks/trials
     // issued, the widest remaining Wilson half-width, and per-shard
     // wall/user/sys times. Empty = off.
     std::string telemetry_path;
@@ -75,10 +72,9 @@ struct sharded_options {
     std::function<void(const obs::round_summary&)> round_observer;
     // Result-store ingest hook (src/store/): handed exactly the validated
     // block partials the checkpoint log persists — once per accepted round
-    // for adaptive runs (blocks reassembled into round order, after the
-    // allocator accepted the round and after the checkpoint append), once
-    // per successful shard job for fixed runs, and once per replayed
-    // round/restored block set on resume. Ingest dedups by block index, so
+    // (blocks reassembled into round order, after the allocator accepted
+    // the round and after the checkpoint append), and once per replayed
+    // round on resume. Ingest dedups by block index, so
     // the at-least-once delivery this schedule implies is harmless. Called
     // from the orchestrating thread; a strict side channel — nothing
     // flows back into the merge or the report.

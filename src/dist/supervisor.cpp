@@ -358,8 +358,6 @@ class job_loop {
         result.partial = std::move(c.partial);
         result.attempts = slot.attempts;
         result.worker_name = worker;
-        if (hooks_.on_job_success)
-            hooks_.on_job_success(jobs_[k], result.partial);
         slot.state = job_state::finished;
         --unfinished_;
     }

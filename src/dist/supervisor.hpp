@@ -136,9 +136,6 @@ struct supervise_hooks {
     // flight-recorder file here and dumps a postmortem.
     std::function<void(const supervised_job&, const attempt_record&)>
         on_attempt_failure;
-    // Called once per job on success (the checkpoint log appends here).
-    std::function<void(const supervised_job&, const partial_report&)>
-        on_job_success;
 };
 
 // Runs every job to a terminal state and returns job-aligned results.

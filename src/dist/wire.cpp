@@ -118,20 +118,6 @@ campaign::campaign_spec spec_from_object(const util::json_value& s) {
     return spec;
 }
 
-std::string spec_to_json(const campaign::campaign_spec& spec) {
-    std::string out;
-    out.reserve(512);
-    out += "{\"spec\":";
-    append_spec_object(out, spec);
-    out += "}";
-    return out;
-}
-
-campaign::campaign_spec spec_from_json(std::string_view text) {
-    const auto doc = util::parse_json(text);
-    return spec_from_object(doc.at("spec"));
-}
-
 std::string round_job_to_json(const round_job& job) {
     std::string out;
     out.reserve(768 + job.manifest.blocks.size() * 64);
@@ -185,7 +171,10 @@ std::uint64_t spec_digest(const campaign::campaign_spec& spec) {
     campaign::campaign_spec canonical = spec;
     canonical.jobs = 1;
     canonical.reuse_masters = true;
-    return util::fnv1a64(spec_to_json(canonical));
+    std::string text = "{\"spec\":";
+    append_spec_object(text, canonical);
+    text += "}";
+    return util::fnv1a64(text);
 }
 
 void append_partial_block(std::string& out, const partial_block& b) {
@@ -280,30 +269,32 @@ std::vector<campaign::cell_partial> collect_block_partials(
     for (const auto& partial : partials) {
         if (partial.digest != digest)
             throw std::runtime_error{
-                "merge_partials: shard " + std::to_string(partial.shard_index) +
+                "collect_block_partials: shard " +
+                std::to_string(partial.shard_index) +
                 " ran a different spec (digest mismatch)"};
         if (partial.round != expected_round)
             throw std::runtime_error{
-                "merge_partials: shard " + std::to_string(partial.shard_index) +
+                "collect_block_partials: shard " +
+                std::to_string(partial.shard_index) +
                 " reported round " + std::to_string(partial.round) +
                 ", expected " + std::to_string(expected_round)};
         for (const auto& b : partial.blocks) {
             const std::size_t at =
                 b.index < position.size() ? position[b.index] : SIZE_MAX;
             if (at == SIZE_MAX)
-                throw std::runtime_error{"merge_partials: block " +
+                throw std::runtime_error{"collect_block_partials: block " +
                                          std::to_string(b.index) +
                                          " was not assigned"};
             if (seen[at])
-                throw std::runtime_error{"merge_partials: block " +
+                throw std::runtime_error{"collect_block_partials: block " +
                                          std::to_string(b.index) +
                                          " reported twice"};
             if (b.cell != blocks[at].cell)
-                throw std::runtime_error{"merge_partials: block " +
+                throw std::runtime_error{"collect_block_partials: block " +
                                          std::to_string(b.index) +
                                          " cell mismatch"};
             if (b.partial.trials != blocks[at].trials)
-                throw std::runtime_error{"merge_partials: block " +
+                throw std::runtime_error{"collect_block_partials: block " +
                                          std::to_string(b.index) +
                                          " trial count mismatch"};
             seen[at] = true;
@@ -312,19 +303,10 @@ std::vector<campaign::cell_partial> collect_block_partials(
     }
     for (std::size_t i = 0; i < seen.size(); ++i)
         if (!seen[i])
-            throw std::runtime_error{"merge_partials: block " +
+            throw std::runtime_error{"collect_block_partials: block " +
                                      std::to_string(blocks[i].index) +
                                      " missing (shard lost?)"};
     return collected;
-}
-
-campaign::campaign_report merge_partials(
-    const campaign::campaign_spec& spec,
-    std::span<const partial_report> partials) {
-    const auto blocks = campaign::blocks_for(spec);
-    const auto collected =
-        collect_block_partials(spec, blocks, partials, /*expected_round=*/0);
-    return campaign::assemble_report(spec, blocks, collected);
 }
 
 }  // namespace pssp::dist

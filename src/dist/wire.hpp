@@ -1,34 +1,29 @@
 // The dist/ wire format: what crosses the pipe between the orchestrator
 // and its campaign workers.
 //
-// Three message kinds, all deterministic JSON (util/json emitters):
+// Two message kinds, both deterministic JSON (util/json emitters):
 //
-//  * spec JSON (parent -> worker stdin, fixed allocation): the full
-//    campaign_spec, including the execution knobs (jobs, reuse_masters)
-//    the orchestrator sets per shard. Enum lists travel as their
-//    to_string names.
+//  * round job JSON (parent -> worker stdin): one round's work order for
+//    one worker — the full campaign_spec (including the execution knobs
+//    jobs/reuse_masters the orchestrator sets per shard; enum lists travel
+//    as their to_string names), the round number (0 for a fixed campaign's
+//    single round), the spec digest, and the explicit canonical blocks the
+//    worker must run. The allocator decides the block set between rounds,
+//    so workers never derive it themselves.
 //
-//  * round job JSON (parent -> worker stdin, adaptive allocation): the
-//    spec plus this round's block manifest for the worker — the round
-//    number, the spec digest, and the explicit canonical blocks the
-//    worker must run. In an adaptive campaign the block set is decided by
-//    the allocator between rounds, so workers cannot derive it from
-//    (spec, shard index) the way the fixed plan_shard split does.
-//
-//  * partial report JSON (worker stdout -> parent): the shard's per-block
-//    campaign::cell_partial states in the shard's canonical block order,
-//    under a header naming the shard, the round (0 for fixed runs), and
-//    the spec digest. Doubles travel as hexfloat strings — bit-exact
-//    round trip — because the parent re-merges them and a single flipped
-//    mantissa bit would break the sharded-equals-single-process
-//    byte-identity contract. The digest covers the outcome-relevant spec
-//    fields so a worker that somehow ran a different campaign is
+//  * partial report JSON (worker stdout -> parent): the worker's per-block
+//    campaign::cell_partial states in manifest order, under a header naming
+//    the shard, the round, and the spec digest. Doubles travel as hexfloat
+//    strings — bit-exact round trip — because the parent re-merges them and
+//    a single flipped mantissa bit would break the sharded-equals-single-
+//    process byte-identity contract. The digest covers the outcome-relevant
+//    spec fields so a worker that somehow ran a different campaign is
 //    rejected, not merged.
 //
-// collect_block_partials() validates exactly-once coverage of any block
-// subset (a whole campaign, or one adaptive round); merge_partials() is
-// that over blocks_for(spec) plus campaign::assemble_report — the same
-// code path the in-process engine ends in.
+// collect_block_partials() validates exactly-once coverage of one round's
+// blocks; the allocator then merges them, and the report bottoms out in
+// campaign::assemble_report — the same code path the in-process engine
+// ends in.
 #pragma once
 
 #include <cstdint>
@@ -47,12 +42,9 @@ namespace pssp::dist {
 inline constexpr std::uint32_t wire_version = 2;
 
 // ---- campaign_spec <-> JSON ----
-[[nodiscard]] std::string spec_to_json(const campaign::campaign_spec& spec);
-[[nodiscard]] campaign::campaign_spec spec_from_json(std::string_view text);
-
 // The spec as a bare JSON object body (no wrapper key) — shared by the
-// standalone spec message, the round-job message, and the result store's
-// manifest (store/format.hpp), so the encodings can never drift.
+// round-job message, the spec digest, and the result store's manifest
+// (store/format.hpp), so the encodings can never drift.
 void append_spec_object(std::string& out, const campaign::campaign_spec& spec);
 [[nodiscard]] campaign::campaign_spec spec_from_object(const util::json_value& s);
 
@@ -62,12 +54,12 @@ void append_spec_object(std::string& out, const campaign::campaign_spec& spec);
 // orchestrator retunes them per shard, and they never move a report byte.
 [[nodiscard]] std::uint64_t spec_digest(const campaign::campaign_spec& spec);
 
-// ---- adaptive round job (spec + block manifest) <-> JSON ----
-// One shard's work order for one adaptive round: run exactly these
-// canonical blocks. The manifest travels with the spec in a single
-// self-contained document so a round worker needs nothing but its stdin.
+// ---- round job (spec + block manifest) <-> JSON ----
+// One shard's work order for one round: run exactly these canonical
+// blocks. The manifest travels with the spec in a single self-contained
+// document so a worker needs nothing but its stdin.
 struct round_manifest {
-    std::uint64_t round = 0;   // 1-based round number
+    std::uint64_t round = 0;   // 0 = fixed campaign, 1..N = adaptive round
     std::uint64_t digest = 0;  // spec_digest of the owning spec
     std::vector<campaign::block_ref> blocks;  // ascending block index
 };
@@ -90,7 +82,7 @@ struct partial_block {
 struct partial_report {
     std::uint32_t shard_index = 0;
     std::uint32_t shard_count = 0;
-    std::uint64_t round = 0;   // adaptive round number; 0 = fixed allocation
+    std::uint64_t round = 0;   // the manifest's round number
     std::uint64_t digest = 0;  // spec_digest of the spec the shard ran
     std::vector<partial_block> blocks;
 };
@@ -107,23 +99,14 @@ void append_partial_block(std::string& out, const partial_block& block);
 [[nodiscard]] partial_block partial_block_from_json(const util::json_value& v);
 
 // Validates that `partials` covers `blocks` (any subset of the canonical
-// block space, ascending by index — a whole fixed campaign or one adaptive
-// round) exactly once, with matching digests, cells, trial counts, and
-// round numbers, and returns the cell partials index-aligned with
-// `blocks`. Throws std::runtime_error naming the first offending block or
-// shard — trials are never silently dropped or double-counted.
+// block space, ascending by index — one round) exactly once, with
+// matching digests, cells, trial counts, and round numbers, and returns
+// the cell partials index-aligned with `blocks`. Throws std::runtime_error
+// naming the first offending block or shard — trials are never silently
+// dropped or double-counted.
 [[nodiscard]] std::vector<campaign::cell_partial> collect_block_partials(
     const campaign::campaign_spec& spec,
     std::span<const campaign::block_ref> blocks,
     std::span<const partial_report> partials, std::uint64_t expected_round);
-
-// Merges shard partials into the canonical campaign_report. Throws
-// std::runtime_error if any block is missing or duplicated, a digest
-// mismatches the spec, or a block's cell disagrees with the plan —
-// a sharded run either reproduces the single-process report exactly or
-// fails loudly; it never silently drops trials.
-[[nodiscard]] campaign::campaign_report merge_partials(
-    const campaign::campaign_spec& spec,
-    std::span<const partial_report> partials);
 
 }  // namespace pssp::dist

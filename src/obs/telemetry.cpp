@@ -34,11 +34,11 @@ bool telemetry_writer::open(const std::string& path) {
 
 void telemetry_writer::append(const round_summary& round) {
     if (fd_ < 0) return;
-    // The whole line, newline included, as one write(2): a concurrent
-    // reader sees the line complete or not at all, never torn. A short
-    // write (possible only against a pipe/ENOSPC) falls back to resuming
-    // at the cut — at that point atomicity is already lost and durability
-    // wins.
+    // The whole line, newline included, as one write(2), so appends never
+    // interleave. A concurrent reader may still see a prefix of the line
+    // mid-copy; readers only trust newline-terminated lines (see the
+    // header). A short write (possible only against a pipe/ENOSPC) resumes
+    // at the cut — the line still lands whole, just later.
     auto line = round_summary_json(round);
     line += '\n';
     std::size_t off = 0;

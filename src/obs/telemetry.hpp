@@ -61,11 +61,15 @@ struct round_summary {
 
 // Appending JSONL writer; one line per round so a killed run keeps every
 // completed round's record. Each line (including its trailing newline)
-// goes down in a single write(2) on an unbuffered fd, so a concurrent
-// tailer — `campaign_query --follow`, `tail -f`, the store ingester —
-// never observes a torn line: POSIX appends of one write are atomic with
-// respect to readers seeing a prefix of the data, and a line is either
-// entirely present (newline and all) or entirely absent.
+// goes down in a single write(2) on an unbuffered fd, so lines never
+// interleave and every newline-terminated line on disk is complete. A
+// concurrent reader — `campaign_query --follow`, `tail -f`, the store
+// tailer — may still observe a line half-written: Linux does not make a
+// buffered write that crosses a page boundary atomic with respect to
+// read(2). Readers therefore consume only newline-terminated lines and
+// carry any trailing partial line into their next poll
+// (store::store_tailer does). Once the writer is closed the file is
+// exactly the concatenation of its lines.
 class telemetry_writer {
   public:
     telemetry_writer() = default;

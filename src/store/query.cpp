@@ -47,11 +47,6 @@ void add_target(query_filter& filter, const std::string& name) {
     filter.targets.push_back(workload::target_kind_from_string(name));
 }
 
-std::string cell_name(const campaign::cell_id& id) {
-    return workload::to_string(id.target) + "/" + core::to_string(id.scheme) +
-           "/" + attack::to_string(id.attack);
-}
-
 std::vector<block_row> dedup_blocks(const store_data& data) {
     // Lowest ingest seq wins; later copies of a block index are replay
     // echoes of the identical value (and the writer skips them anyway).

@@ -70,8 +70,7 @@ struct cell_aggregate {
 [[nodiscard]] campaign::campaign_report reconstruct_report(
     const store_data& data);
 
-// "target/scheme/attack", the cell naming used across telemetry.
-[[nodiscard]] std::string cell_name(const campaign::cell_id& id);
+using campaign::cell_name;
 
 // ---- render ----
 

@@ -17,8 +17,9 @@
 //
 // store_tailer is the `--follow` primitive: an incremental poll over
 // ingest.log that yields each newly completed hashed line as a decoded
-// entry, riding on the writer's line-atomic appends — a poll never sees a
-// half-written entry, only complete lines or nothing.
+// entry. A poll may read a line the writer is still copying in; bytes
+// after the last newline are carried to the next poll, so only complete
+// lines are ever decoded.
 #pragma once
 
 #include <string>

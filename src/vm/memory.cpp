@@ -3,10 +3,24 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 #include "util/bytes.hpp"
 
 namespace pssp::vm {
+
+void* detail::map_pages(std::size_t bytes) {
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc{};
+    return p;
+}
+
+void detail::unmap_pages(void* p, std::size_t bytes) noexcept {
+    if (p != nullptr) ::munmap(p, bytes);
+}
 
 namespace {
 

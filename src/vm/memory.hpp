@@ -73,6 +73,36 @@ struct mem_layout {
 // The two independent dirty-page tracking channels; see the header comment.
 enum class dirty_channel : unsigned { restore = 0, fork = 1 };
 
+// Allocates whole anonymous mappings (mmap/munmap) instead of malloc heap.
+// A guest image is ~0.5 MB; from the malloc heap, whether a freed image's
+// pages are reused or the heap grows depends on how the small objects
+// allocated around it happen to fragment it, so a process's peak RSS moved
+// by a whole image with allocation order and ASLR. With its own mapping an
+// image's pages come and go with the image, and peak RSS is the peak of the
+// live images.
+namespace detail {
+[[nodiscard]] void* map_pages(std::size_t bytes);
+void unmap_pages(void* p, std::size_t bytes) noexcept;
+}  // namespace detail
+
+template <class T>
+struct page_allocator {
+    using value_type = T;
+    page_allocator() noexcept = default;
+    template <class U>
+    page_allocator(const page_allocator<U>&) noexcept {}
+    [[nodiscard]] T* allocate(std::size_t n) {
+        return static_cast<T*>(detail::map_pages(n * sizeof(T)));
+    }
+    void deallocate(T* p, std::size_t n) noexcept {
+        detail::unmap_pages(p, n * sizeof(T));
+    }
+    template <class U>
+    bool operator==(const page_allocator<U>&) const noexcept {
+        return true;
+    }
+};
+
 class memory {
   public:
     using layout = mem_layout;
@@ -166,7 +196,7 @@ class memory {
 
     layout layout_;
     std::array<descriptor, 3> desc_{};  // lookup order: stack, globals, tls
-    std::vector<std::uint8_t> buf_;
+    std::vector<std::uint8_t, page_allocator<std::uint8_t>> buf_;
     // One bit per page of buf_, per channel.
     std::array<std::vector<std::uint64_t>, 2> dirty_{};
 

@@ -9,6 +9,7 @@
 
 #include "campaign/allocator.hpp"
 #include "campaign/engine.hpp"
+#include "obs/telemetry.hpp"
 #include "util/json.hpp"
 
 namespace pssp {
@@ -152,6 +153,65 @@ TEST(campaign_allocator, target_zero_degenerates_to_the_fixed_allocation) {
     }
     EXPECT_EQ(alloc.trials_run(), spec.trial_count());
     EXPECT_EQ(alloc.executed_blocks().size(), campaign::blocks_for(spec).size());
+}
+
+TEST(campaign_allocator, fixed_spec_is_one_round_of_every_block) {
+    // A fixed campaign is round 0 holding blocks_for(spec) in canonical
+    // order; nothing converges, so the allocator is done after it. The
+    // adaptive knobs are ignored, not validated: neither a NaN target nor a
+    // one-block round budget may throw or change the plan.
+    auto plain = synthetic_spec();
+    plain.adaptive = false;
+    auto odd = plain;
+    odd.target_ci_halfwidth = std::numeric_limits<double>::quiet_NaN();
+    odd.round_blocks = 1;
+    for (const auto& spec : {plain, odd}) {
+        campaign::adaptive_allocator alloc{spec};
+        EXPECT_EQ(alloc.round_number(), 0u);
+        const auto round = alloc.plan_round();
+        const auto canonical = campaign::blocks_for(spec);
+        ASSERT_EQ(round.size(), canonical.size());
+        for (std::size_t i = 0; i < round.size(); ++i)
+            EXPECT_EQ(round[i].index, canonical[i].index);
+        // Every cell detects everything — an adaptive run would stop them
+        // all after one block; a fixed run ignores that.
+        std::vector<campaign::cell_partial> partials;
+        for (const auto& b : round)
+            partials.push_back(synth(b.trials, b.trials));
+        alloc.record_round(round, partials);
+        for (std::uint64_t c = 0; c < spec.cell_count(); ++c)
+            EXPECT_FALSE(alloc.cell_converged(c));
+        EXPECT_TRUE(alloc.done());
+        EXPECT_TRUE(alloc.plan_round().empty());
+        EXPECT_EQ(alloc.rounds_completed(), 1u);
+        EXPECT_EQ(alloc.trials_run(), spec.trial_count());
+    }
+}
+
+TEST(campaign_allocator, fixed_engine_run_emits_one_golden_round_summary) {
+    // The single round-0 line a fixed engine run reports, pinned byte for
+    // byte (wall time zeroed: it is the one field that varies).
+    campaign::campaign_spec spec;
+    spec.schemes = {scheme_kind::ssp, scheme_kind::p_ssp};
+    spec.attacks = {attack::attack_kind::byte_by_byte,
+                    attack::attack_kind::leak_replay};
+    spec.targets = {workload::target_kind::nginx};
+    spec.trials_per_cell = 70;
+    spec.master_seed = 77;
+    spec.query_budget = 600;
+    spec.jobs = 4;
+    campaign::engine engine{spec};
+    std::vector<obs::round_summary> rounds;
+    engine.set_round_observer(
+        [&rounds](const obs::round_summary& r) { rounds.push_back(r); });
+    (void)engine.run();
+    ASSERT_EQ(rounds.size(), 1u);
+    rounds[0].wall_seconds = 0.0;
+    EXPECT_EQ(obs::round_summary_json(rounds[0]),
+              "{\"round\": 0, \"blocks\": 8, \"trials\": 280, "
+              "\"cumulative_trials\": 280, \"max_halfwidth\": 0.037029, "
+              "\"widest_cell\": \"nginx_m/SSP/byte_by_byte\", "
+              "\"wall_seconds\": 0.000}");
 }
 
 TEST(campaign_allocator, min_trials_floor_blocks_early_convergence) {

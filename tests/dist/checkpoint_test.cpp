@@ -1,7 +1,9 @@
 // Crash-resumable checkpoints, end to end: checkpointed sharded runs
 // (real fork/exec workers), log truncation to simulate an orchestrator
 // death mid-campaign, and --resume producing a byte-identical report
-// while re-running only the missing work. Pins the corruption contract:
+// while re-running only the missing rounds. The durable unit is one
+// accepted round for fixed (round 0) and adaptive runs alike. Pins the
+// corruption contract:
 // a truncated line, a flipped hexfloat digit, and a foreign spec digest
 // each fail resume loudly with a position-bearing error — silent resume
 // from damaged state is impossible.
@@ -20,6 +22,7 @@
 #include "campaign/engine.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/orchestrator.hpp"
+#include "dist/wire.hpp"
 #include "obs/telemetry.hpp"
 
 namespace pssp {
@@ -75,6 +78,18 @@ campaign::campaign_spec small_spec() {
     return spec;
 }
 
+// Two deterministic adaptive rounds (target 0 never converges; 4 blocks
+// at 2 per round), so the log holds two lines.
+campaign::campaign_spec two_round_spec() {
+    auto spec = small_spec();
+    spec.adaptive = true;
+    spec.target_ci_halfwidth = 0.0;
+    spec.trials_per_cell = 96;
+    spec.round_blocks = 2;
+    spec.min_trials_per_cell = 32;
+    return spec;
+}
+
 dist::sharded_options checkpointed_options(const std::string& dir) {
     dist::sharded_options options;
     options.shards = 2;
@@ -92,29 +107,58 @@ TEST(dist_checkpoint, fixed_resume_is_byte_identical) {
 
     // A checkpointed run changes nothing about the report...
     EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference);
-    // ...and leaves one durable entry per shard job behind.
+    // ...and leaves one durable entry: the fixed campaign's round 0.
     const auto log_path = dir + "/rounds.log";
-    EXPECT_EQ(line_count(read_file(log_path)), 2u);
+    EXPECT_EQ(line_count(read_file(log_path)), 1u);
 
-    // Kill the run after one durable unit; resume re-runs only the rest.
-    truncate_to_first_line(log_path);
+    // Resume from the complete log replays round 0 and spawns no worker:
+    // pointing the run at a missing worker binary would fail any spawn.
     options.resume = true;
+    auto replay_only = options;
+    replay_only.worker_path = "/nonexistent/campaign_worker";
+    EXPECT_EQ(dist::run_sharded(spec, replay_only).to_json(), reference);
+
+    // A run killed before round 0 became durable leaves an empty log;
+    // resume re-runs every block and appends the round again.
+    write_file(log_path, "");
     EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference);
-    // The resumed run appended what it re-ran: the log is complete again,
-    // so a second resume replays everything and spawns no workers.
-    EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference);
+    EXPECT_EQ(line_count(read_file(log_path)), 1u);
+}
+
+TEST(dist_checkpoint, per_job_fixed_log_fails_resume_with_its_position) {
+    // A fixed run's log split into one round-0 line per shard job cannot
+    // be replayed as the single round 0; resume must say where it broke.
+    const auto spec = small_spec();
+    const auto dir = fresh_dir("per-job");
+    {
+        auto log = dist::checkpoint_log::create(dir, dist::spec_digest(spec));
+        for (const auto& b : campaign::blocks_for(spec)) {
+            dist::partial_block block;
+            block.index = b.index;
+            block.cell = b.cell;
+            block.partial.trials = b.trials;
+            log.append(0, std::vector<dist::partial_block>{block});
+        }
+    }
+    const auto log_path = dir + "/rounds.log";
+    ASSERT_EQ(line_count(read_file(log_path)), 2u);
+
+    auto options = checkpointed_options(dir);
+    options.resume = true;
+    try {
+        (void)dist::run_sharded(spec, options);
+        FAIL() << "a per-job fixed log must fail resume";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(log_path + " line 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("round 0"), std::string::npos) << what;
+    }
 }
 
 TEST(dist_checkpoint, adaptive_resume_is_byte_identical) {
-    // Two deterministic rounds (target 0 never converges; 4 blocks at 2
-    // per round). The durable unit is one accepted round; resume replays
-    // round 1 through the allocator and runs only round 2.
-    auto spec = small_spec();
-    spec.adaptive = true;
-    spec.target_ci_halfwidth = 0.0;
-    spec.trials_per_cell = 96;
-    spec.round_blocks = 2;
-    spec.min_trials_per_cell = 32;
+    // The durable unit is one accepted round; resume replays round 1
+    // through the allocator and runs only round 2.
+    const auto spec = two_round_spec();
     const auto reference = campaign::engine{spec}.run().to_json();
     const auto dir = fresh_dir("adaptive");
     auto options = checkpointed_options(dir);
@@ -137,7 +181,7 @@ TEST(dist_checkpoint, adaptive_resume_is_byte_identical) {
 }
 
 TEST(dist_checkpoint, truncated_log_line_fails_resume_loudly) {
-    const auto spec = small_spec();
+    const auto spec = two_round_spec();
     const auto dir = fresh_dir("trunc");
     auto options = checkpointed_options(dir);
     (void)dist::run_sharded(spec, options);

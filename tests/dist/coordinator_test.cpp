@@ -271,7 +271,7 @@ TEST(dist_coordinator, misaddressed_result_is_a_bad_partial_and_evicts_the_peer)
     rj.manifest.digest = dist::spec_digest(spec);
     for (const auto& b : campaign::blocks_for(spec))
         rj.manifest.blocks.push_back(b);
-    jobs[0].args = {"--round", "--shard", "0", "--shards", "1"};
+    jobs[0].args = {"--shard", "0", "--shards", "1"};
     jobs[0].input = dist::round_job_to_json(rj);
     jobs[0].manifest = std::move(rj.manifest);
     jobs[0].shard_count = 1;

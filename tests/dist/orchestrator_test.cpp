@@ -151,7 +151,7 @@ TEST(dist_orchestrator, crashed_adaptive_worker_names_the_round) {
         const std::string what = e.what();
         EXPECT_NE(what.find("shard 1 (round 1)"), std::string::npos)
             << "adaptive failure must name shard and round: " << what;
-        EXPECT_NE(what.find("--round --shard 1 --shards 2"), std::string::npos)
+        EXPECT_NE(what.find("--shard 1 --shards 2"), std::string::npos)
             << "error must carry the worker argv: " << what;
     }
     const auto path = options.postmortem_dir + "/obs-postmortem-1.json";

@@ -1,13 +1,12 @@
-// Shard planner: canonical block structure, deterministic partitioning,
-// and the in-process half of the byte-identity oracle — merged shard
-// partials reproduce the single-process report exactly.
+// Sharding over the canonical block space: block structure, and the
+// in-process half of the byte-identity oracle — a round's blocks split
+// round-robin across shards, run separately, and collected back reproduce
+// the single-process report exactly; lost, duplicate, foreign and
+// miscounted blocks are rejected.
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "campaign/engine.hpp"
-#include "dist/shard.hpp"
 #include "dist/wire.hpp"
 
 namespace pssp {
@@ -28,6 +27,42 @@ campaign::campaign_spec tiny_spec() {
     return spec;
 }
 
+// Runs a fixed campaign's round 0 as `count` shards: blocks_for(spec)
+// split round-robin by position, as the orchestrator splits every round,
+// each slice through its own engine. Shards past the block count report
+// empty partials.
+std::vector<dist::partial_report> run_split(const campaign::campaign_spec& spec,
+                                            std::uint32_t count) {
+    const auto blocks = campaign::blocks_for(spec);
+    std::vector<dist::partial_report> partials;
+    for (std::uint32_t k = 0; k < count; ++k) {
+        std::vector<campaign::block_ref> slice;
+        for (std::size_t p = k; p < blocks.size(); p += count)
+            slice.push_back(blocks[p]);
+        campaign::engine engine{spec};
+        const auto block_partials = engine.run_blocks(slice);
+        dist::partial_report partial;
+        partial.shard_index = k;
+        partial.shard_count = count;
+        partial.digest = dist::spec_digest(spec);
+        for (std::size_t i = 0; i < slice.size(); ++i)
+            partial.blocks.push_back(dist::partial_block{
+                slice[i].index, slice[i].cell, block_partials[i]});
+        partials.push_back(std::move(partial));
+    }
+    return partials;
+}
+
+// Collects round 0 over the whole block space and reduces it.
+std::string merged_json(const campaign::campaign_spec& spec,
+                        std::span<const dist::partial_report> partials) {
+    const auto blocks = campaign::blocks_for(spec);
+    return campaign::assemble_report(
+               spec, blocks,
+               dist::collect_block_partials(spec, blocks, partials, 0))
+        .to_json();
+}
+
 TEST(dist_shard, blocks_cover_the_trial_space_cell_major) {
     auto spec = tiny_spec();
     spec.trials_per_cell = 150;  // 3 blocks per cell: 64 + 64 + 22
@@ -44,66 +79,17 @@ TEST(dist_shard, blocks_cover_the_trial_space_cell_major) {
     EXPECT_EQ(expected_trial, spec.trial_count());
 }
 
-TEST(dist_shard, plans_partition_blocks_exactly_once) {
-    auto spec = tiny_spec();
-    spec.trials_per_cell = 200;  // 4 blocks per cell, 16 total
-    const auto all = campaign::blocks_for(spec);
-    for (const std::uint32_t count : {1u, 2u, 4u, 8u, 64u}) {
-        const auto plans = dist::plan_shards(spec, count);
-        ASSERT_EQ(plans.size(), count);
-        std::set<std::uint64_t> seen;
-        for (const auto& plan : plans) {
-            EXPECT_EQ(plan.shard_count, count);
-            for (const auto& block : plan.blocks) {
-                EXPECT_EQ(block.index % count, plan.shard_index);
-                EXPECT_TRUE(seen.insert(block.index).second)
-                    << "block assigned twice";
-            }
-        }
-        EXPECT_EQ(seen.size(), all.size()) << "blocks dropped at count " << count;
-        // plan_shard(k) reproduces plan_shards()[k] exactly.
-        for (std::uint32_t k = 0; k < count; ++k) {
-            const auto solo = dist::plan_shard(spec, k, count);
-            ASSERT_EQ(solo.blocks.size(), plans[k].blocks.size());
-            for (std::size_t i = 0; i < solo.blocks.size(); ++i)
-                EXPECT_EQ(solo.blocks[i].index, plans[k].blocks[i].index);
-        }
-    }
-}
-
-TEST(dist_shard, rejects_bad_plan_arguments) {
-    const auto spec = tiny_spec();
-    EXPECT_THROW(dist::plan_shards(spec, 0), std::invalid_argument);
-    EXPECT_THROW(dist::plan_shard(spec, 0, 0), std::invalid_argument);
-    EXPECT_THROW(dist::plan_shard(spec, 2, 2), std::invalid_argument);
-}
-
 TEST(dist_shard, merged_shard_partials_reproduce_single_process_report) {
-    // The tentpole's oracle, in-process: run each shard's blocks through
-    // engine::run_blocks, merge, and demand the merged report's JSON be
+    // The oracle, in-process: run each shard's blocks through
+    // engine::run_blocks, collect, and demand the merged report's JSON be
     // byte-identical to engine::run() — at shard counts below, equal to,
     // and above the block count (8 blocks here).
     auto spec = tiny_spec();
     spec.trials_per_cell = 70;  // 2 ragged blocks per cell
     const auto reference = campaign::engine{spec}.run().to_json();
-    for (const std::uint32_t count : {1u, 2u, 4u, 8u, 16u}) {
-        std::vector<dist::partial_report> partials;
-        for (const auto& plan : dist::plan_shards(spec, count)) {
-            campaign::engine engine{spec};
-            const auto block_partials = engine.run_blocks(plan.blocks);
-            dist::partial_report partial;
-            partial.shard_index = plan.shard_index;
-            partial.shard_count = plan.shard_count;
-            partial.digest = dist::spec_digest(spec);
-            for (std::size_t i = 0; i < plan.blocks.size(); ++i)
-                partial.blocks.push_back(dist::partial_block{
-                    plan.blocks[i].index, plan.blocks[i].cell,
-                    block_partials[i]});
-            partials.push_back(std::move(partial));
-        }
-        const auto merged = dist::merge_partials(spec, partials);
-        EXPECT_EQ(merged.to_json(), reference) << "shard count " << count;
-    }
+    for (const std::uint32_t count : {1u, 2u, 4u, 8u, 16u})
+        EXPECT_EQ(merged_json(spec, run_split(spec, count)), reference)
+            << "shard count " << count;
 }
 
 TEST(dist_shard, ragged_last_blocks_identical_at_every_shard_count) {
@@ -121,67 +107,37 @@ TEST(dist_shard, ragged_last_blocks_identical_at_every_shard_count) {
         spec.query_budget = 600;
         spec.jobs = 2;
         const auto reference = campaign::engine{spec}.run().to_json();
-        for (const std::uint32_t count : {1u, 2u, 4u, 8u}) {
-            std::vector<dist::partial_report> partials;
-            for (const auto& plan : dist::plan_shards(spec, count)) {
-                campaign::engine engine{spec};
-                const auto block_partials = engine.run_blocks(plan.blocks);
-                dist::partial_report partial;
-                partial.shard_index = plan.shard_index;
-                partial.shard_count = plan.shard_count;
-                partial.digest = dist::spec_digest(spec);
-                for (std::size_t i = 0; i < plan.blocks.size(); ++i)
-                    partial.blocks.push_back(dist::partial_block{
-                        plan.blocks[i].index, plan.blocks[i].cell,
-                        block_partials[i]});
-                partials.push_back(std::move(partial));
-            }
-            EXPECT_EQ(dist::merge_partials(spec, partials).to_json(), reference)
+        for (const std::uint32_t count : {1u, 2u, 4u, 8u})
+            EXPECT_EQ(merged_json(spec, run_split(spec, count)), reference)
                 << "trials_per_cell=" << trials << " shards=" << count;
-        }
     }
 }
 
-TEST(dist_shard, merge_rejects_missing_duplicate_and_foreign_blocks) {
+TEST(dist_shard, collect_rejects_lost_duplicate_foreign_and_miscounted_blocks) {
     auto spec = tiny_spec();
     spec.trials_per_cell = 2;
-    const auto plan = dist::plan_shard(spec, 0, 1);
-    campaign::engine engine{spec};
-    const auto block_partials = engine.run_blocks(plan.blocks);
-    dist::partial_report partial;
-    partial.shard_index = 0;
-    partial.shard_count = 1;
-    partial.digest = dist::spec_digest(spec);
-    for (std::size_t i = 0; i < plan.blocks.size(); ++i)
-        partial.blocks.push_back(dist::partial_block{
-            plan.blocks[i].index, plan.blocks[i].cell, block_partials[i]});
-
-    std::vector<dist::partial_report> partials{partial};
-    EXPECT_NO_THROW((void)dist::merge_partials(spec, partials));
+    const auto partials = run_split(spec, 1);
+    EXPECT_NO_THROW((void)merged_json(spec, partials));
 
     {  // a lost block fails the merge, loudly
         auto broken = partials;
         broken[0].blocks.pop_back();
-        EXPECT_THROW((void)dist::merge_partials(spec, broken),
-                     std::runtime_error);
+        EXPECT_THROW((void)merged_json(spec, broken), std::runtime_error);
     }
     {  // a block reported twice fails
         auto broken = partials;
         broken[0].blocks.push_back(broken[0].blocks.front());
-        EXPECT_THROW((void)dist::merge_partials(spec, broken),
-                     std::runtime_error);
+        EXPECT_THROW((void)merged_json(spec, broken), std::runtime_error);
     }
     {  // a shard that ran a different campaign fails
         auto broken = partials;
         broken[0].digest ^= 1;
-        EXPECT_THROW((void)dist::merge_partials(spec, broken),
-                     std::runtime_error);
+        EXPECT_THROW((void)merged_json(spec, broken), std::runtime_error);
     }
     {  // a partial claiming the wrong trial count fails
         auto broken = partials;
         broken[0].blocks[0].partial.trials += 1;
-        EXPECT_THROW((void)dist::merge_partials(spec, broken),
-                     std::runtime_error);
+        EXPECT_THROW((void)merged_json(spec, broken), std::runtime_error);
     }
 }
 

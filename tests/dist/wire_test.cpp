@@ -9,11 +9,22 @@
 #include <limits>
 
 #include "campaign/engine.hpp"
-#include "dist/shard.hpp"
 #include "dist/wire.hpp"
+#include "util/json.hpp"
 
 namespace pssp {
 namespace {
+
+// The spec's wire encoding, and back.
+std::string spec_text(const campaign::campaign_spec& spec) {
+    std::string out;
+    dist::append_spec_object(out, spec);
+    return out;
+}
+
+campaign::campaign_spec parse_spec(const std::string& text) {
+    return dist::spec_from_object(util::parse_json(text));
+}
 
 TEST(dist_wire, spec_round_trip) {
     campaign::campaign_spec spec = campaign::full_spec();
@@ -27,7 +38,7 @@ TEST(dist_wire, spec_round_trip) {
     spec.scheme_options.lv_check_after_write = true;
     spec.scheme_options.dcr_trampoline_cycles = 777;
 
-    const auto parsed = dist::spec_from_json(dist::spec_to_json(spec));
+    const auto parsed = parse_spec(spec_text(spec));
     EXPECT_EQ(parsed.schemes, spec.schemes);
     EXPECT_EQ(parsed.attacks, spec.attacks);
     EXPECT_EQ(parsed.targets, spec.targets);
@@ -43,7 +54,7 @@ TEST(dist_wire, spec_round_trip) {
     EXPECT_EQ(parsed.scheme_options.dcr_trampoline_cycles,
               spec.scheme_options.dcr_trampoline_cycles);
     // And the round trip is a fixed point of the serialization itself.
-    EXPECT_EQ(dist::spec_to_json(parsed), dist::spec_to_json(spec));
+    EXPECT_EQ(spec_text(parsed), spec_text(spec));
 }
 
 TEST(dist_wire, spec_round_trip_preserves_adaptive_knobs_exactly) {
@@ -54,12 +65,12 @@ TEST(dist_wire, spec_round_trip_preserves_adaptive_knobs_exactly) {
     spec.target_ci_halfwidth = 0.1 + 1e-17;
     spec.round_blocks = 5;
     spec.min_trials_per_cell = 33;
-    const auto parsed = dist::spec_from_json(dist::spec_to_json(spec));
+    const auto parsed = parse_spec(spec_text(spec));
     EXPECT_EQ(parsed.adaptive, true);
     EXPECT_EQ(parsed.target_ci_halfwidth, spec.target_ci_halfwidth);
     EXPECT_EQ(parsed.round_blocks, 5u);
     EXPECT_EQ(parsed.min_trials_per_cell, 33u);
-    EXPECT_EQ(dist::spec_to_json(parsed), dist::spec_to_json(spec));
+    EXPECT_EQ(spec_text(parsed), spec_text(spec));
 }
 
 TEST(dist_wire, spec_digest_ignores_execution_knobs_only) {
@@ -156,8 +167,9 @@ TEST(dist_wire, partial_round_header_survives_and_gates_the_merge) {
         (void)dist::collect_block_partials(spec, blocks, partials, 5));
     EXPECT_THROW((void)dist::collect_block_partials(spec, blocks, partials, 4),
                  std::runtime_error);
-    // merge_partials expects fixed-mode partials (round 0).
-    EXPECT_THROW((void)dist::merge_partials(spec, partials), std::runtime_error);
+    // Nor may it pass as a fixed campaign's round 0.
+    EXPECT_THROW((void)dist::collect_block_partials(spec, blocks, partials, 0),
+                 std::runtime_error);
 
     // A block outside the collected subset is "not assigned", not merged.
     const std::vector<campaign::block_ref> none{};
@@ -217,7 +229,7 @@ TEST(dist_wire, partial_parse_rejects_garbage) {
             "{\"partial\":{\"version\":999,\"shard\":0,\"shards\":1,"
             "\"spec_digest\":0,\"blocks\":[]}}"),
         std::runtime_error);
-    EXPECT_THROW((void)dist::spec_from_json("{\"spec\":{\"schemes\":[\"NOPE\"]}}"),
+    EXPECT_THROW((void)parse_spec("{\"schemes\":[\"NOPE\"]}"),
                  std::invalid_argument);
 }
 
@@ -233,22 +245,30 @@ TEST(dist_wire, campaign_report_serialize_parse_merge_round_trip) {
     spec.master_seed = 99;
     const auto reference = campaign::engine{spec}.run().to_json();
 
+    // Round 0 split round-robin over two shards, as the orchestrator does.
+    const auto blocks = campaign::blocks_for(spec);
     std::vector<dist::partial_report> parsed;
-    for (const auto& plan : dist::plan_shards(spec, 2)) {
+    for (std::uint32_t k = 0; k < 2; ++k) {
+        std::vector<campaign::block_ref> slice;
+        for (std::size_t p = k; p < blocks.size(); p += 2)
+            slice.push_back(blocks[p]);
         campaign::engine engine{spec};
-        const auto block_partials = engine.run_blocks(plan.blocks);
+        const auto block_partials = engine.run_blocks(slice);
         dist::partial_report partial;
-        partial.shard_index = plan.shard_index;
-        partial.shard_count = plan.shard_count;
+        partial.shard_index = k;
+        partial.shard_count = 2;
         partial.digest = dist::spec_digest(spec);
-        for (std::size_t i = 0; i < plan.blocks.size(); ++i)
+        for (std::size_t i = 0; i < slice.size(); ++i)
             partial.blocks.push_back(dist::partial_block{
-                plan.blocks[i].index, plan.blocks[i].cell, block_partials[i]});
+                slice[i].index, slice[i].cell, block_partials[i]});
         // Through the wire and back.
         parsed.push_back(
             dist::partial_from_json(dist::partial_to_json(partial)));
     }
-    EXPECT_EQ(dist::merge_partials(spec, parsed).to_json(), reference);
+    const auto collected =
+        dist::collect_block_partials(spec, blocks, parsed, 0);
+    EXPECT_EQ(campaign::assemble_report(spec, blocks, collected).to_json(),
+              reference);
 }
 
 }  // namespace

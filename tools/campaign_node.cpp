@@ -4,7 +4,7 @@
 // hello/welcome handshake, then serves leases: each lease frame carries
 // the *same* round-job JSON the local channel feeds over stdin, so the
 // node fork/execs the sibling `tools_campaign_worker` through the same
-// child driver (dist/child.hpp) with the standard argv (--round --shard K
+// child driver (dist/child.hpp) with the standard argv (--shard K
 // --shards N) and environment (PSSP_CAMPAIGN_ROUND /
 // PSSP_CAMPAIGN_ATTEMPT) and streams the child's raw stdout back in a
 // result frame together with its wait status. run_jobs classifies that
@@ -219,8 +219,8 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
                 }
                 // The same argv and env contract as the local channel.
                 const std::vector<std::string> args{
-                    "--round", "--shard", std::to_string(env.shard),
-                    "--shards", std::to_string(env.shard_count)};
+                    "--shard", std::to_string(env.shard), "--shards",
+                    std::to_string(env.shard_count)};
                 if (!child.spawn(cfg.worker, args,
                                  {{fault_round_env, std::to_string(env.round)},
                                   {fault_attempt_env,

@@ -1,24 +1,16 @@
-// One shard of a distributed campaign, as a process.
+// One shard of one campaign round, as a process.
 //
 // Protocol (see src/dist/orchestrator.cpp, which speaks the other side):
 //
-// Fixed allocation:
-//   stdin   wire spec JSON (the whole campaign_spec; jobs/reuse_masters
-//           are this shard's execution knobs as set by the orchestrator)
-//   argv    --shard K --shards N   which slice of the canonical block
-//           space this process owns (dist::plan_shard)
-//
-// Adaptive allocation (one process per shard per round):
-//   stdin   wire round-job JSON: the spec plus this round's explicit
-//           block manifest — the orchestrator's allocator decides the
-//           blocks between rounds, so the worker cannot derive them
-//   argv    --round --shard K --shards N   (K/N name this round's slice
-//           for the partial header and error messages)
-//
-// Either way:
+//   stdin   wire round-job JSON: the spec (jobs/reuse_masters are this
+//           shard's execution knobs as set by the orchestrator) plus this
+//           round's explicit block manifest — the orchestrator's allocator
+//           decides the blocks, whether the round is a fixed campaign's
+//           round 0 or adaptive round 1..N
+//   argv    --shard K --shards N   (K/N name this round's slice for the
+//           partial header and error messages)
 //   stdout  wire partial-report JSON: the shard's per-block mergeable
 //           partials, hexfloat-exact, with the round number in the header
-//           (0 for fixed runs)
 //   stderr  diagnostics only
 // Exit 0 on success; any failure is a non-zero exit with a message on
 // stderr — the orchestrator turns that into a loud run failure.
@@ -55,7 +47,6 @@
 
 #include "campaign/engine.hpp"
 #include "dist/chaos.hpp"
-#include "dist/shard.hpp"
 #include "dist/wire.hpp"
 #include "obs/span.hpp"
 
@@ -64,12 +55,9 @@ namespace {
 int usage(const char* argv0) {
     std::fprintf(
         stderr,
-        "usage: %s [--round] --shard K --shards N < input.json > partial.json\n"
-        "Fixed mode: runs shard K of an N-way campaign split; spec JSON on\n"
-        "stdin (dist wire format).\n"
-        "--round: runs one adaptive round; round-job JSON (spec + explicit\n"
-        "block manifest) on stdin.\n"
-        "Partial report JSON on stdout either way.\n",
+        "usage: %s --shard K --shards N < round_job.json > partial.json\n"
+        "Runs the blocks of one round-job manifest (dist wire format) and\n"
+        "writes their partial report JSON to stdout.\n",
         argv0);
     return 2;
 }
@@ -157,14 +145,11 @@ void validate_manifest(const pssp::campaign::campaign_spec& spec,
 int main(int argc, char** argv) {
     long shard = -1;
     long shards = -1;
-    bool round_mode = false;
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--shard") && i + 1 < argc)
             shard = std::strtol(argv[++i], nullptr, 10);
         else if (!std::strcmp(argv[i], "--shards") && i + 1 < argc)
             shards = std::strtol(argv[++i], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--round"))
-            round_mode = true;
         else
             return usage(argv[0]);
     }
@@ -229,50 +214,27 @@ int main(int argc, char** argv) {
         report.shard_index = static_cast<std::uint32_t>(shard);
         report.shard_count = static_cast<std::uint32_t>(shards);
 
-        if (round_mode) {
-            const auto job = pssp::dist::round_job_from_json(read_stdin());
-            if (pssp::dist::spec_digest(job.spec) != job.manifest.digest)
-                throw std::runtime_error{
-                    "round job spec digest disagrees with its spec"};
-            validate_manifest(job.spec, job.manifest);
-            pssp::obs::flight_checkpoint();  // input parsed and validated
+        const auto job = pssp::dist::round_job_from_json(read_stdin());
+        if (pssp::dist::spec_digest(job.spec) != job.manifest.digest)
+            throw std::runtime_error{
+                "round job spec digest disagrees with its spec"};
+        validate_manifest(job.spec, job.manifest);
+        pssp::obs::flight_checkpoint();  // input parsed and validated
 
-            pssp::campaign::engine engine{job.spec};
-            if (flight)
-                engine.set_progress([](std::uint64_t done, std::uint64_t) {
-                    if (done % 256 == 0) pssp::obs::flight_checkpoint();
-                });
-            const auto partials = engine.run_blocks(job.manifest.blocks);
-
-            report.round = job.manifest.round;
-            report.digest = job.manifest.digest;
-            report.blocks.reserve(job.manifest.blocks.size());
-            for (std::size_t i = 0; i < job.manifest.blocks.size(); ++i)
-                report.blocks.push_back(pssp::dist::partial_block{
-                    job.manifest.blocks[i].index, job.manifest.blocks[i].cell,
-                    partials[i]});
-            return emit_partial(std::move(report), shard, fault);
-        }
-
-        const auto spec = pssp::dist::spec_from_json(read_stdin());
-        const auto plan = pssp::dist::plan_shard(
-            spec, static_cast<std::uint32_t>(shard),
-            static_cast<std::uint32_t>(shards));
-
-        pssp::obs::flight_checkpoint();  // input parsed, plan derived
-
-        pssp::campaign::engine engine{spec};
+        pssp::campaign::engine engine{job.spec};
         if (flight)
             engine.set_progress([](std::uint64_t done, std::uint64_t) {
                 if (done % 256 == 0) pssp::obs::flight_checkpoint();
             });
-        const auto partials = engine.run_blocks(plan.blocks);
+        const auto partials = engine.run_blocks(job.manifest.blocks);
 
-        report.digest = pssp::dist::spec_digest(spec);
-        report.blocks.reserve(plan.blocks.size());
-        for (std::size_t i = 0; i < plan.blocks.size(); ++i)
+        report.round = job.manifest.round;
+        report.digest = job.manifest.digest;
+        report.blocks.reserve(job.manifest.blocks.size());
+        for (std::size_t i = 0; i < job.manifest.blocks.size(); ++i)
             report.blocks.push_back(pssp::dist::partial_block{
-                plan.blocks[i].index, plan.blocks[i].cell, partials[i]});
+                job.manifest.blocks[i].index, job.manifest.blocks[i].cell,
+                partials[i]});
         return emit_partial(std::move(report), shard, fault);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "shard %ld: %s\n", shard, e.what());
