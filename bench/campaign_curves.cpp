@@ -7,169 +7,48 @@
 // Wilson 95% intervals, mean oracle queries to compromise, and the
 // residual value of leaked canary bytes at replay time.
 //
-// Reproducibility contract: the report JSON is a pure function of
-// (--seed, --trials, --budget); --jobs only changes wall-clock. Verify:
-//   bench_campaign_curves --jobs 1 --json a.json
-//   bench_campaign_curves --jobs 8 --json b.json
+// This is the paper view only: the default spec, run in this process.
+// The report is a pure function of the spec; --jobs only changes
+// wall-clock. Every other campaign knob — report JSON, adaptive
+// allocation, shards, telemetry — is tools_campaign_shard's, whose
+// --shards 0 runs the same engine on the same spec:
+//   tools_campaign_shard --shards 0 --jobs 1 --json a.json
+//   tools_campaign_shard --shards 0 --jobs 8 --json b.json
 //   cmp a.json b.json
 
-#include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <string>
+#include <stdexcept>
 
 #include "bench_util.hpp"
 #include "campaign/engine.hpp"
-#include "dist/orchestrator.hpp"
-#include "obs/span.hpp"
-#include "obs/telemetry.hpp"
-#include "vm/dispatch.hpp"
-
-namespace {
-
-using namespace pssp;
-
-void usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s [--trials N] [--jobs N] [--shards N] [--seed S]\n"
-                 "          [--dispatch threaded|switch]\n"
-                 "          [--budget Q] [--json PATH|-] [--bench-json PATH|-]\n"
-                 "          [--adaptive] [--target H] [--round-blocks N]\n"
-                 "          [--min-trials N] [--adaptive-bench PATH|-]\n"
-                 "          [--min-savings PCT]\n"
-                 "          [--fresh-masters] [--worker PATH] [--progress]\n"
-                 "  --trials N   trials per campaign cell (default 112: 9 cells\n"
-                 "               x 112 = 1008 total trials)\n"
-                 "  --jobs N     worker threads (default 1; 0 = all cores)\n"
-                 "  --shards N   fan the campaign out across N worker processes\n"
-                 "               (default 0 = in-process; the report is\n"
-                 "               byte-identical either way)\n"
-                 "  --worker PATH  campaign worker binary for --shards\n"
-                 "  --seed S     master seed (default 2018)\n"
-                 "  --budget Q   oracle-query budget per trial (default 4096)\n"
-                 "  --json PATH  write the campaign_report JSON ('-' = stdout)\n"
-                 "  --bench-json PATH  write BENCH_campaign.json throughput\n"
-                 "               numbers (wall-time, trials/sec, per-cell cost)\n"
-                 "  --adaptive   CI-driven adaptive allocation (--trials is the\n"
-                 "               per-cell budget; cells stop when both Wilson\n"
-                 "               CI half-widths reach the target)\n"
-                 "  --target H   adaptive CI half-width target (default 0.05)\n"
-                 "  --round-blocks N  blocks per adaptive round (default: one\n"
-                 "               per cell)\n"
-                 "  --min-trials N   per-cell floor before a cell may stop\n"
-                 "               (default 64)\n"
-                 "  --adaptive-bench PATH  run the fixed campaign too and write\n"
-                 "               BENCH_adaptive.json: trials saved vs fixed\n"
-                 "               allocation at the same CI target\n"
-                 "  --min-savings PCT  with --adaptive-bench: exit non-zero if\n"
-                 "               the adaptive run saves less than PCT%% of the\n"
-                 "               fixed trial budget\n"
-                 "  --fresh-masters    boot a fresh fork server per trial instead\n"
-                 "               of the snapshot-reuse pool (report is identical\n"
-                 "               either way; this is a perf A/B knob)\n"
-                 "  --dispatch M   VM dispatch engine: threaded (default) or\n"
-                 "               switch; exported to shard workers via\n"
-                 "               PSSP_VM_DISPATCH (report is identical either\n"
-                 "               way; this is a perf A/B knob)\n"
-                 "  --progress   live trial counter on stderr\n"
-                 "  --telemetry PATH  per-round summary JSONL ('-' = stderr);\n"
-                 "               side channel only, never changes the report\n"
-                 "  --trace-out PATH  Chrome trace_event JSON of this run's\n"
-                 "               spans (rounds, victim builds, trial blocks,\n"
-                 "               wire traffic) for chrome://tracing/Perfetto\n",
-                 argv0);
-}
-
-}  // namespace
+#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
+    using namespace pssp;
     campaign::campaign_spec spec = campaign::default_spec();
     spec.trials_per_cell = 112;
-    const char* json_path = nullptr;
-    const char* bench_json_path = nullptr;
-    const char* adaptive_bench_path = nullptr;
-    double min_savings_percent = -1.0;
-    bool progress = false;
-    unsigned shards = 0;  // 0 = in-process engine
-    const char* worker_path = nullptr;
-    const char* telemetry_path = nullptr;
-    const char* trace_path = nullptr;
-
-    for (int i = 1; i < argc; ++i) {
-        auto next_value = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--trials")) {
-            spec.trials_per_cell = std::strtoull(next_value("--trials"), nullptr, 10);
-        } else if (!std::strcmp(argv[i], "--jobs")) {
-            spec.jobs = static_cast<unsigned>(
-                std::strtoul(next_value("--jobs"), nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--shards")) {
-            shards = static_cast<unsigned>(
-                std::strtoul(next_value("--shards"), nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--worker")) {
-            worker_path = next_value("--worker");
-        } else if (!std::strcmp(argv[i], "--seed")) {
-            spec.master_seed = std::strtoull(next_value("--seed"), nullptr, 10);
-        } else if (!std::strcmp(argv[i], "--budget")) {
-            spec.query_budget = std::strtoull(next_value("--budget"), nullptr, 10);
-        } else if (!std::strcmp(argv[i], "--json")) {
-            json_path = next_value("--json");
-        } else if (!std::strcmp(argv[i], "--bench-json")) {
-            bench_json_path = next_value("--bench-json");
-        } else if (!std::strcmp(argv[i], "--adaptive")) {
-            spec.adaptive = true;
-        } else if (!std::strcmp(argv[i], "--target")) {
-            spec.target_ci_halfwidth =
-                std::strtod(next_value("--target"), nullptr);
-        } else if (!std::strcmp(argv[i], "--round-blocks")) {
-            spec.round_blocks =
-                std::strtoull(next_value("--round-blocks"), nullptr, 10);
-        } else if (!std::strcmp(argv[i], "--min-trials")) {
-            spec.min_trials_per_cell =
-                std::strtoull(next_value("--min-trials"), nullptr, 10);
-        } else if (!std::strcmp(argv[i], "--adaptive-bench")) {
-            adaptive_bench_path = next_value("--adaptive-bench");
-        } else if (!std::strcmp(argv[i], "--min-savings")) {
-            min_savings_percent = std::strtod(next_value("--min-savings"), nullptr);
-        } else if (!std::strcmp(argv[i], "--fresh-masters")) {
-            spec.reuse_masters = false;
-        } else if (!std::strcmp(argv[i], "--dispatch")) {
-            const char* value = next_value("--dispatch");
-            const auto mode = vm::dispatch_from_string(value);
-            if (!mode) {
-                std::fprintf(stderr, "--dispatch must be threaded or switch\n");
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (i + 1 < argc && !std::strcmp(argv[i], "--trials")) {
+                spec.trials_per_cell = util::parse_count("--trials", argv[++i]);
+            } else if (i + 1 < argc && !std::strcmp(argv[i], "--jobs")) {
+                spec.jobs = static_cast<unsigned>(
+                    util::parse_count("--jobs", argv[++i], 0, UINT_MAX));
+            } else {
+                std::fprintf(stderr,
+                             "usage: %s [--trials N] [--jobs N]\n"
+                             "  --trials N  trials per campaign cell (default "
+                             "112: 9 cells x 112 = 1008 trials)\n"
+                             "  --jobs N    worker threads (default 1; 0 = all "
+                             "cores)\n",
+                             argv[0]);
                 return 2;
             }
-            vm::set_default_dispatch(*mode);
-            // Exported before any worker threads or shard processes exist
-            // so fork/exec'd campaign workers run the same engine.
-            ::setenv("PSSP_VM_DISPATCH", value, /*overwrite=*/1);
-        } else if (!std::strcmp(argv[i], "--progress")) {
-            progress = true;
-        } else if (!std::strcmp(argv[i], "--telemetry")) {
-            telemetry_path = next_value("--telemetry");
-        } else if (!std::strcmp(argv[i], "--trace-out")) {
-            trace_path = next_value("--trace-out");
-        } else {
-            usage(argv[0]);
-            return 2;
         }
-    }
-
-    if (adaptive_bench_path != nullptr && !spec.adaptive) {
-        std::fprintf(stderr, "--adaptive-bench needs --adaptive\n");
-        return 2;
-    }
-    if (min_savings_percent >= 0.0 && adaptive_bench_path == nullptr) {
-        std::fprintf(stderr, "--min-savings needs --adaptive-bench\n");
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
 
@@ -183,51 +62,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(spec.master_seed),
                 static_cast<unsigned long long>(spec.query_budget), spec.jobs);
 
-    if (trace_path != nullptr) obs::enable_tracing(true);
-    // In-process runs write the JSONL here; sharded runs hand the path to
-    // the orchestrator instead (exactly one of the two opens the file).
-    obs::telemetry_writer telemetry;
-    const bool want_telemetry = telemetry_path != nullptr && shards == 0 &&
-                                telemetry.open(telemetry_path);
-
     campaign::campaign_report report;
-    double wall_seconds = 0.0;
     try {
-        const auto start = std::chrono::steady_clock::now();
-        if (shards > 0) {
-            // Multi-process fan-out; merged report byte-identical to the
-            // in-process path below (per-trial progress stays in-process
-            // only — workers own their trials).
-            dist::sharded_options options;
-            options.shards = shards;
-            if (worker_path != nullptr) options.worker_path = worker_path;
-            if (telemetry_path != nullptr)
-                options.telemetry_path = telemetry_path;
-            report = dist::run_sharded(spec, options);
-        } else {
-            campaign::engine eng{spec};
-            if (progress)
-                eng.set_progress([](std::uint64_t done, std::uint64_t total) {
-                    std::fprintf(stderr, "\r%llu/%llu trials",
-                                 static_cast<unsigned long long>(done),
-                                 static_cast<unsigned long long>(total));
-                    if (done == total) std::fprintf(stderr, "\n");
-                });
-            if (want_telemetry)
-                eng.set_round_observer([&telemetry](
-                                           const obs::round_summary& round) {
-                    telemetry.append(round);
-                });
-            report = eng.run();
-        }
-        wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                .count();
+        report = campaign::engine{spec}.run();
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
+        return 1;
     }
-
     std::printf("%s\n", report.to_table().c_str());
     std::printf(
         "paper: byte-by-byte compromises SSP (expected ~8*2^7+1 = 1025\n"
@@ -235,177 +76,5 @@ int main(int argc, char** argv) {
         "       RAF-SSP also defeats byte-by-byte (C renewed per fork) but\n"
         "       its leak window matches SSP's. Leaked canaries stay fully\n"
         "       valid under SSP (8/8 bytes) and go stale under P-SSP.\n");
-
-    if (json_path) {
-        const auto json = report.to_json();
-        if (!std::strcmp(json_path, "-")) {
-            std::printf("%s\n", json.c_str());
-        } else {
-            std::ofstream out{json_path, std::ios::binary};
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n", json_path);
-                return 1;
-            }
-            out << json << '\n';
-        }
-    }
-
-    if (adaptive_bench_path) {
-        // Trial-savings A/B (BENCH_adaptive.json): the fixed twin of the
-        // same spec runs the full trials_per_cell budget everywhere; the
-        // adaptive run above stopped each cell at the CI target. Savings =
-        // trials not run for the same target precision (cells that
-        // exhausted the budget without converging ran identically in both).
-        campaign::campaign_spec fixed_spec = spec;
-        fixed_spec.adaptive = false;
-        double fixed_seconds = 0.0;
-        std::uint64_t fixed_trials = 0;
-        try {
-            const auto start = std::chrono::steady_clock::now();
-            campaign::campaign_report fixed_report;
-            if (shards > 0) {
-                dist::sharded_options options;
-                options.shards = shards;
-                if (worker_path != nullptr) options.worker_path = worker_path;
-                fixed_report = dist::run_sharded(fixed_spec, options);
-            } else {
-                fixed_report = campaign::engine{fixed_spec}.run();
-            }
-            fixed_seconds = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-            fixed_trials = fixed_report.total_trials();
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error (fixed twin): %s\n", e.what());
-            return 2;
-        }
-
-        const std::uint64_t adaptive_trials = report.total_trials();
-        const double savings_percent =
-            fixed_trials == 0
-                ? 0.0
-                : 100.0 * (1.0 - static_cast<double>(adaptive_trials) /
-                                     static_cast<double>(fixed_trials));
-        std::uint64_t cells_converged = 0;
-        for (const auto& c : report.cells)
-            if (c.trials < spec.trials_per_cell) ++cells_converged;
-
-        std::string bench;
-        char buf[512];
-        std::snprintf(
-            buf, sizeof buf,
-            "{\n"
-            "  \"bench\": \"campaign_adaptive\",\n"
-            "  \"target_ci_halfwidth\": %g,\n"
-            "  \"min_trials_per_cell\": %llu,\n"
-            "  \"trials_budget_per_cell\": %llu,\n"
-            "  \"trials_fixed\": %llu,\n"
-            "  \"trials_adaptive\": %llu,\n"
-            "  \"savings_percent\": %.1f,\n"
-            "  \"cells_stopped_early\": %llu,\n"
-            "  \"cells_total\": %llu,\n"
-            "  \"wall_seconds_fixed\": %.3f,\n"
-            "  \"wall_seconds_adaptive\": %.3f,\n"
-            "  \"cells\": [\n",
-            spec.target_ci_halfwidth,
-            static_cast<unsigned long long>(spec.min_trials_per_cell),
-            static_cast<unsigned long long>(spec.trials_per_cell),
-            static_cast<unsigned long long>(fixed_trials),
-            static_cast<unsigned long long>(adaptive_trials), savings_percent,
-            static_cast<unsigned long long>(cells_converged),
-            static_cast<unsigned long long>(spec.cell_count()), fixed_seconds,
-            wall_seconds);
-        bench += buf;
-        for (std::size_t i = 0; i < report.cells.size(); ++i) {
-            const auto& c = report.cells[i];
-            std::snprintf(
-                buf, sizeof buf,
-                "    {\"scheme\": \"%s\", \"attack\": \"%s\", "
-                "\"trials\": %llu, \"detection_ci_halfwidth\": %.4f, "
-                "\"hijack_ci_halfwidth\": %.4f, \"stopped_early\": %s}%s\n",
-                core::to_string(c.scheme).c_str(),
-                attack::to_string(c.attack).c_str(),
-                static_cast<unsigned long long>(c.trials),
-                c.detection_ci.half_width(), c.hijack_ci.half_width(),
-                c.trials < spec.trials_per_cell ? "true" : "false",
-                i + 1 < report.cells.size() ? "," : "");
-            bench += buf;
-        }
-        bench += "  ]\n}\n";
-
-        if (!std::strcmp(adaptive_bench_path, "-")) {
-            std::printf("%s", bench.c_str());
-        } else {
-            std::ofstream out{adaptive_bench_path, std::ios::binary};
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n", adaptive_bench_path);
-                return 1;
-            }
-            out << bench;
-        }
-        std::printf(
-            "adaptive allocation: %llu of %llu fixed trials (%.1f%% saved) "
-            "at target half-width %g; %llu/%llu cells stopped early\n",
-            static_cast<unsigned long long>(adaptive_trials),
-            static_cast<unsigned long long>(fixed_trials), savings_percent,
-            spec.target_ci_halfwidth,
-            static_cast<unsigned long long>(cells_converged),
-            static_cast<unsigned long long>(spec.cell_count()));
-
-        if (min_savings_percent >= 0.0 &&
-            savings_percent < min_savings_percent) {
-            std::fprintf(stderr,
-                         "FAIL: adaptive savings %.1f%% below the --min-savings "
-                         "floor of %.1f%%\n",
-                         savings_percent, min_savings_percent);
-            return 1;
-        }
-    }
-
-    if (bench_json_path) {
-        // Throughput sidecar (BENCH_campaign.json). Deliberately separate
-        // from the report: the report is a pure function of the spec, this
-        // is a property of the machine and build that ran it.
-        const double trials = static_cast<double>(spec.trial_count());
-        const double cells = static_cast<double>(spec.cell_count());
-        char buf[512];
-        std::snprintf(
-            buf, sizeof buf,
-            "{\n"
-            "  \"bench\": \"campaign_curves\",\n"
-            "  \"trials\": %llu,\n"
-            "  \"cells\": %llu,\n"
-            "  \"jobs\": %u,\n"
-            "  \"reuse_masters\": %s,\n"
-            "  \"wall_seconds\": %.3f,\n"
-            "  \"trials_per_sec\": %.1f,\n"
-            "  \"seconds_per_cell_mean\": %.4f\n"
-            "}\n",
-            static_cast<unsigned long long>(spec.trial_count()),
-            static_cast<unsigned long long>(spec.cell_count()), spec.jobs,
-            spec.reuse_masters ? "true" : "false", wall_seconds,
-            trials / wall_seconds, wall_seconds / cells);
-        if (!std::strcmp(bench_json_path, "-")) {
-            std::printf("%s", buf);
-        } else {
-            std::ofstream out{bench_json_path, std::ios::binary};
-            if (!out) {
-                std::fprintf(stderr, "cannot write %s\n", bench_json_path);
-                return 1;
-            }
-            out << buf;
-        }
-    }
-
-    if (trace_path != nullptr) {
-        const auto trace = obs::chrome_trace_json("bench_campaign_curves");
-        std::ofstream out{trace_path, std::ios::binary};
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", trace_path);
-            return 1;
-        }
-        out << trace;
-        std::fprintf(stderr, "trace written to %s\n", trace_path);
-    }
     return 0;
 }

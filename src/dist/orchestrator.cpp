@@ -123,11 +123,9 @@ void write_postmortem(const sharded_options& options, const std::string& worker,
 }
 
 // Completes a round summary with what every round reports — wall time,
-// per-shard times, recovery totals — and hands it to the telemetry writer
-// and the observer.
-void emit_round(const sharded_options& options, obs::telemetry_writer* writer,
-                obs::round_summary summary, double wall,
-                std::vector<obs::shard_time> times,
+// per-shard times, recovery totals — and hands it to the observer.
+void emit_round(const sharded_options& options, obs::round_summary summary,
+                double wall, std::vector<obs::shard_time> times,
                 const supervise_stats& stats) {
     summary.wall_seconds = wall;
     summary.shards = std::move(times);
@@ -136,8 +134,7 @@ void emit_round(const sharded_options& options, obs::telemetry_writer* writer,
     summary.timeouts = stats.timeouts;
     summary.evictions = stats.evictions;
     summary.reconnects = stats.reconnects;
-    if (writer != nullptr) writer->append(summary);
-    if (options.round_observer) options.round_observer(summary);
+    options.round_observer(summary);
 }
 
 campaign::campaign_spec shard_execution_spec(
@@ -265,8 +262,7 @@ std::optional<checkpoint_log> open_checkpoint(const sharded_options& options,
 // wrong round structure — fails loudly, naming the log line.
 void replay_checkpoint(const checkpoint_log& ckpt,
                        campaign::adaptive_allocator& allocator,
-                       const sharded_options& options,
-                       obs::telemetry_writer* telemetry) {
+                       const sharded_options& options) {
     const auto& entries = ckpt.recorded();
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const auto& entry = entries[i];
@@ -288,10 +284,10 @@ void replay_checkpoint(const checkpoint_log& ckpt,
         }
         if (options.block_ingest)
             options.block_ingest(entry.round, entry.blocks);
-        if (telemetry != nullptr || options.round_observer) {
+        if (options.round_observer) {
             auto summary = allocator.summarize_round(entry.round, blocks);
             summary.resumed = true;
-            emit_round(options, telemetry, std::move(summary), 0.0, {}, {});
+            emit_round(options, std::move(summary), 0.0, {}, {});
         }
     }
 }
@@ -309,10 +305,6 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
     const std::string worker = options.worker_path.empty()
                                    ? default_worker_path()
                                    : options.worker_path;
-    obs::telemetry_writer writer;
-    obs::telemetry_writer* telemetry = nullptr;
-    if (!options.telemetry_path.empty() && writer.open(options.telemetry_path))
-        telemetry = &writer;
 
     const auto digest = spec_digest(spec);
     campaign::adaptive_allocator allocator{spec};
@@ -339,7 +331,7 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
     // rounds rebuilds the allocator state bit for bit.
     const auto shard_spec = shard_execution_spec(spec, options);
     if (ckpt.has_value())
-        replay_checkpoint(*ckpt, allocator, options, telemetry);
+        replay_checkpoint(*ckpt, allocator, options);
     for (;;) {
         const auto round = allocator.plan_round();
         if (round.empty()) break;
@@ -369,9 +361,8 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
             if (options.block_ingest)
                 options.block_ingest(number, entry_blocks);
         }
-        if (telemetry != nullptr || options.round_observer)
-            emit_round(options, telemetry,
-                       allocator.summarize_round(number, round),
+        if (options.round_observer)
+            emit_round(options, allocator.summarize_round(number, round),
                        std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count(),

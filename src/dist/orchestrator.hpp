@@ -61,14 +61,13 @@ struct sharded_options {
     // (tests/campaign/telemetry_identity_test.cpp pins that); they only
     // record what happened.
 
-    // Run-summary JSONL destination ('-' = stderr): one line per round (a
-    // fixed run has the single round 0), with blocks/trials
-    // issued, the widest remaining Wilson half-width, and per-shard
-    // wall/user/sys times. Empty = off.
-    std::string telemetry_path;
-    // In-process observer handed the same per-round summaries the JSONL
-    // gets (tools_campaign_shard --progress renders its stderr line from
-    // this). Called from the orchestrating thread between rounds.
+    // Handed one summary per round (a fixed run has the single round 0):
+    // blocks/trials issued, the widest remaining Wilson half-width, and
+    // per-shard wall/user/sys times — the same summaries
+    // campaign::engine::set_round_observer gets, plus the shard times and
+    // recovery totals. tools_campaign_shard writes its --telemetry JSONL,
+    // feeds its --store and renders --progress from this. Called from the
+    // orchestrating thread between rounds.
     std::function<void(const obs::round_summary&)> round_observer;
     // Result-store ingest hook (src/store/): handed exactly the validated
     // block partials the checkpoint log persists — once per accepted round

@@ -5,10 +5,13 @@
 // stands (cumulative trials, the widest remaining Wilson half-width and
 // which cell owns it), and where the time went (round wall seconds;
 // per-shard wall/user/sys for fork/exec runs). Fixed-allocation runs emit
-// a single line with round 0. Produced by `--telemetry <file>` on
-// tools_campaign_shard and bench_campaign_curves; both the in-process
-// engine and the dist orchestrator feed the same struct, so the two
-// execution paths are diffable line by line.
+// a single line with round 0. Produced by `tools_campaign_shard
+// --telemetry <file>`, whose round observer appends each summary it is
+// handed — by campaign::engine under --shards 0, by dist::run_sharded
+// otherwise. Both build the struct with adaptive_allocator::
+// summarize_round, so the two execution paths are diffable line by line:
+// everything but the timings, shard times and recovery totals matches
+// (tests/campaign/telemetry_identity_test.cpp checks it).
 //
 // Deliberately NOT compiled out under PSSP_OBS=0: this writer runs only
 // when a caller passes --telemetry, costs nothing otherwise, and a

@@ -5,11 +5,16 @@
 // This test runs the same campaign with everything off and with
 // everything on, in-process (jobs 1 and 8) and fork/exec-sharded
 // (1 and 4 shards), and compares the serialized reports byte for byte.
+// It also checks the promise obs/telemetry.hpp makes: both execution paths
+// report the same rounds, timing and recovery fields aside.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "campaign/engine.hpp"
 #include "dist/orchestrator.hpp"
@@ -79,26 +84,93 @@ TEST(telemetry_identity, sharded_report_identical_with_telemetry_on) {
         EXPECT_EQ(dist::run_sharded(spec, plain).to_json(), reference)
             << "shards=" << shards;
 
-        // Everything on: JSONL telemetry to a temp file, the in-process
-        // observer, orchestrator tracing, and per-worker flight recorders.
+        // Everything on: a round observer writing JSONL telemetry to a temp
+        // file (as tools_campaign_shard --telemetry does), orchestrator
+        // tracing, and per-worker flight recorders.
         const std::string jsonl =
             ::testing::TempDir() + "telemetry_identity_" +
             std::to_string(shards) + ".jsonl";
-        dist::sharded_options loud;
-        loud.shards = shards;
-        loud.telemetry_path = jsonl;
-        loud.postmortem_dir = ::testing::TempDir();
         std::uint64_t rounds_seen = 0;
-        loud.round_observer =
-            [&rounds_seen](const obs::round_summary&) { ++rounds_seen; };
-        obs::enable_tracing(true);
-        const auto report = dist::run_sharded(spec, loud).to_json();
-        obs::enable_tracing(false);
-        obs::clear_spans_for_test();
+        std::string report;
+        {
+            obs::telemetry_writer telemetry;
+            ASSERT_TRUE(telemetry.open(jsonl));
+            dist::sharded_options loud;
+            loud.shards = shards;
+            loud.postmortem_dir = ::testing::TempDir();
+            loud.round_observer = [&](const obs::round_summary& r) {
+                telemetry.append(r);
+                ++rounds_seen;
+            };
+            obs::enable_tracing(true);
+            report = dist::run_sharded(spec, loud).to_json();
+            obs::enable_tracing(false);
+            obs::clear_spans_for_test();
+        }
         EXPECT_EQ(report, reference) << "shards=" << shards << " with telemetry";
         EXPECT_GE(rounds_seen, 1u);
+        std::ifstream in{jsonl};
+        std::uint64_t lines = 0;
+        for (std::string line; std::getline(in, line);) ++lines;
+        EXPECT_EQ(lines, rounds_seen) << "one JSONL line per round observed";
         std::remove(jsonl.c_str());
     }
+}
+
+// What both execution paths must agree on about a round; the rest of
+// round_summary — wall time, shard times, recovery totals — is filled by
+// one path only.
+using round_fields = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                                std::uint64_t, double, std::string>;
+
+std::vector<round_fields> comparable(
+    const std::vector<obs::round_summary>& rounds) {
+    std::vector<round_fields> fields;
+    for (const auto& r : rounds)
+        fields.emplace_back(r.round, r.blocks, r.trials, r.cumulative_trials,
+                            r.max_halfwidth, r.widest_cell);
+    return fields;
+}
+
+std::vector<round_fields> engine_rounds(const campaign::campaign_spec& spec) {
+    std::vector<obs::round_summary> rounds;
+    campaign::engine eng{spec};
+    eng.set_round_observer(
+        [&rounds](const obs::round_summary& r) { rounds.push_back(r); });
+    (void)eng.run();
+    return comparable(rounds);
+}
+
+std::vector<round_fields> sharded_rounds(const campaign::campaign_spec& spec) {
+    std::vector<obs::round_summary> rounds;
+    dist::sharded_options options;
+    options.shards = 2;
+    options.flight_recorder = false;
+    options.round_observer = [&rounds](const obs::round_summary& r) {
+        rounds.push_back(r);
+    };
+    (void)dist::run_sharded(spec, options);
+    return comparable(rounds);
+}
+
+TEST(telemetry_identity, engine_and_sharded_runs_report_the_same_rounds) {
+    // round, blocks, trials, cumulative_trials, max_halfwidth and
+    // widest_cell come from the allocator's merged partials, so they match
+    // line for line; a fixed run is the one round 0.
+    const auto fixed = small_spec();
+    const auto fixed_rounds = engine_rounds(fixed);
+    ASSERT_EQ(fixed_rounds.size(), 1u);
+    EXPECT_EQ(std::get<0>(fixed_rounds[0]), 0u);
+    EXPECT_EQ(sharded_rounds(fixed), fixed_rounds);
+
+    auto adaptive = small_spec();
+    adaptive.trials_per_cell = 16;
+    adaptive.adaptive = true;
+    adaptive.min_trials_per_cell = 8;
+    adaptive.round_blocks = 4;
+    const auto adaptive_rounds = engine_rounds(adaptive);
+    EXPECT_GE(adaptive_rounds.size(), 2u);
+    EXPECT_EQ(sharded_rounds(adaptive), adaptive_rounds);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// util module: statistics, byte packing, table rendering.
+// util module: statistics, byte packing, table rendering, strict
+// command-line numbers.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "util/bytes.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -321,6 +323,54 @@ TEST(stats, welford_save_restore_is_bit_exact) {
     b.add(3.5);
     EXPECT_EQ(a.mean(), b.mean());
     EXPECT_EQ(a.stddev(), b.stddev());
+}
+
+TEST(cli, parse_count_reads_the_whole_string_in_range) {
+    EXPECT_EQ(util::parse_count("--trials", "0"), 0u);
+    EXPECT_EQ(util::parse_count("--trials", "112"), 112u);
+    EXPECT_EQ(util::parse_count("--seed", "18446744073709551615"),
+              18446744073709551615ull);
+    EXPECT_EQ(util::parse_count("--workers", "1", 1, 8), 1u);
+    EXPECT_EQ(util::parse_count("--port", "65535", 0, 65535), 65535u);
+    for (const char* bad : {"", "2abc", "-1", "+1", " 1", "1 ", "0x10", "1.5",
+                            "abc", "18446744073709551616"})
+        EXPECT_THROW((void)util::parse_count("--trials", bad),
+                     std::invalid_argument)
+            << '"' << bad << '"';
+    EXPECT_THROW((void)util::parse_count("--workers", "0", 1, 8),
+                 std::invalid_argument);
+    EXPECT_THROW((void)util::parse_count("--port", "65536", 0, 65535),
+                 std::invalid_argument);
+}
+
+TEST(cli, parse_nonnegative_takes_finite_numbers_from_zero) {
+    EXPECT_EQ(util::parse_nonnegative("--timeout", "0"), 0.0);
+    EXPECT_EQ(util::parse_nonnegative("--timeout", "2.5"), 2.5);
+    EXPECT_EQ(util::parse_nonnegative("--backoff", ".05"), 0.05);
+    EXPECT_EQ(util::parse_nonnegative("--target", "5e-2"), 0.05);
+    for (const char* bad : {"", "abc", "-1", "-0", "+1", " 1", "1s", "inf",
+                            "nan", "1e999", "1.2.3"})
+        EXPECT_THROW((void)util::parse_nonnegative("--timeout", bad),
+                     std::invalid_argument)
+            << '"' << bad << '"';
+}
+
+TEST(cli, errors_name_the_flag_and_the_input) {
+    try {
+        (void)util::parse_count("--shards", "-1", 0, 4294967295u);
+        FAIL() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(),
+                     "--shards expects a whole number from 0 to 4294967295, "
+                     "got \"-1\"");
+    }
+    try {
+        (void)util::parse_nonnegative("--timeout", "abc");
+        FAIL() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(),
+                     "--timeout expects a finite number >= 0, got \"abc\"");
+    }
 }
 
 }  // namespace
