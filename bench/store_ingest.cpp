@@ -1,8 +1,9 @@
 // Result-store ingest overhead — the cost of the campaign observatory.
 //
-// A/Bs the same sharded campaign with the store side channel off vs on
-// (block ingest + round summaries + finalize, the tools_campaign_shard
-// --store wiring), best-of-N wall time each side, and reports the
+// A/Bs the same sharded campaign with the store off vs on (the
+// orchestrator's block ingest + round summaries + finalize, the
+// tools_campaign_shard --store wiring), best-of-N wall time each side, and
+// reports the
 // relative overhead. The store's contract is that it is a strict side
 // channel: the report bytes are asserted identical both ways, the
 // store's reconstructed report is asserted identical to both, and the
@@ -29,7 +30,6 @@
 #include "bench_util.hpp"
 #include "dist/orchestrator.hpp"
 #include "store/query.hpp"
-#include "store/store.hpp"
 
 namespace {
 
@@ -142,27 +142,17 @@ int main(int argc, char** argv) {
         {
             const auto dir = fresh_store_dir(rep);
             auto options = bench_options(shards);
-            auto writer = store::store_writer::open(dir, spec, false);
-            options.block_ingest =
-                [&writer](std::uint64_t round,
-                          std::span<const dist::partial_block> blocks) {
-                    writer.ingest_blocks(round, blocks);
-                };
-            options.round_observer =
-                [&writer](const obs::round_summary& round) {
-                    writer.ingest_round(round);
-                };
+            options.checkpoint_dir = dir;
             const auto start = clock_type::now();
             const auto report = dist::run_sharded(spec, options);
-            writer.finalize(report, "{}");
             const double secs = seconds_since(start);
             if (best_on == 0.0 || secs < best_on) best_on = secs;
             on_report = report.to_json();
-            store_blocks = writer.ingested_blocks();
 
             // The identity oracle, every rep: the store alone rebuilds
             // the report byte for byte.
             const auto data = store::load_store(dir);
+            store_blocks = store::dedup_blocks(data).size();
             if (store::reconstruct_report(data).to_json() != on_report) {
                 std::fprintf(stderr,
                              "FATAL: store reconstruction diverged from the "

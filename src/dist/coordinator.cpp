@@ -329,8 +329,8 @@ void coordinator::check_progress(bool in_flight) {
     }
     if (g_drain_requested != 0 && !in_flight)
         throw std::runtime_error{
-            "run_sharded: coordinator drained on SIGTERM (completed leases "
-            "are checkpointed; --resume continues the campaign)"};
+            "run_sharded: coordinator drained on SIGTERM (completed rounds "
+            "are in the store; --resume continues the campaign)"};
 }
 
 steady_clock::time_point coordinator::add_poll_fds(

@@ -27,10 +27,9 @@
 //                   when *no* node is registered for register_wait_seconds
 //                   does the run fail loudly.
 //   * drain         SIGTERM stops new leases, lets in-flight leases
-//                   finish (their results are checkpointed by the per-job
-//                   hooks), and run_jobs throws a "drained" error — the
+//                   finish, and run_jobs throws a "drained" error — the
 //                   run exits non-zero but --resume picks up from the
-//                   checkpoint byte-identically.
+//                   store's last accepted round byte-identically.
 //
 // Nodes stay registered across rounds. Fleet mode (fleet_workers > 0)
 // self-spawns that many localhost tools_campaign_node daemons pointed back

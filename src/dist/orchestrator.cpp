@@ -14,11 +14,13 @@
 #include <unistd.h>
 
 #include "campaign/allocator.hpp"
-#include "dist/checkpoint.hpp"
 #include "dist/child.hpp"
 #include "dist/supervisor.hpp"
 #include "dist/wire.hpp"
+#include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "store/reader.hpp"
+#include "store/store.hpp"
 #include "util/json.hpp"
 
 namespace pssp::dist {
@@ -122,19 +124,13 @@ void write_postmortem(const sharded_options& options, const std::string& worker,
     std::fprintf(stderr, "dist: wrote %s\n", path.c_str());
 }
 
-// Completes a round summary with what every round reports — wall time,
-// per-shard times, recovery totals — and hands it to the observer.
-void emit_round(const sharded_options& options, obs::round_summary summary,
-                double wall, std::vector<obs::shard_time> times,
-                const supervise_stats& stats) {
-    summary.wall_seconds = wall;
-    summary.shards = std::move(times);
-    summary.retries = stats.retries;
-    summary.requeued_blocks = stats.requeued_blocks;
-    summary.timeouts = stats.timeouts;
-    summary.evictions = stats.evictions;
-    summary.reconnects = stats.reconnects;
-    options.round_observer(summary);
+// Hands one round's summary to the store (its round entry), then to the
+// observer — so an observer that dies (--kill-after-round) only ever saw
+// rounds that are durable.
+void publish_round(store::store_writer* store, const sharded_options& options,
+                   const obs::round_summary& summary) {
+    if (store != nullptr) store->ingest_round(summary);
+    if (options.round_observer) options.round_observer(summary);
 }
 
 campaign::campaign_spec shard_execution_spec(
@@ -189,7 +185,7 @@ struct round_outcome {
 
 // Runs one round's jobs under run_jobs — on local channels, or on the
 // fleet's nodes when `fleet` is non-null; everything downstream (failure
-// aggregation, checkpointing, the merge) is channel-blind. Failed attempts
+// aggregation, persistence, the merge) is channel-blind. Failed attempts
 // get postmortems and retries; a job that exhausts its budget fails the
 // run with an aggregated error naming every exhausted shard's round, last
 // failure, argv, and block manifest.
@@ -241,54 +237,55 @@ round_outcome execute_round(
     return outcome;
 }
 
-// Opens (resume) or creates the checkpoint named by the options; null
-// when checkpointing is off.
-std::optional<checkpoint_log> open_checkpoint(const sharded_options& options,
-                                              std::uint64_t digest) {
+// Opens (resume) or creates the result store named by the options — the
+// run's durable log; empty when persistence is off.
+std::optional<store::store_writer> open_store(
+    const campaign::campaign_spec& spec, const sharded_options& options) {
     if (options.checkpoint_dir.empty()) {
         if (options.resume)
             throw std::invalid_argument{
-                "run_sharded: resume requires a checkpoint directory"};
+                "run_sharded: resume requires a store directory"};
         return std::nullopt;
     }
-    if (options.resume)
-        return checkpoint_log::open_for_resume(options.checkpoint_dir, digest);
-    return checkpoint_log::create(options.checkpoint_dir, digest);
+    return store::store_writer::open(options.checkpoint_dir, spec,
+                                     options.resume);
 }
 
-// Feeds every checkpointed round back through the allocator instead of
-// running it. replay_round re-plans each round and validates the entry
-// against the plan, so a log from a different spec — or one with the
-// wrong round structure — fails loudly, naming the log line.
-void replay_checkpoint(const checkpoint_log& ckpt,
-                       campaign::adaptive_allocator& allocator,
-                       const sharded_options& options) {
-    const auto& entries = ckpt.recorded();
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        const auto& entry = entries[i];
+// Feeds every round the store holds back through the allocator instead of
+// running it. Each blocks entry (one ingest seq, which is also its
+// ingest.log line) is one accepted round; replay_round re-plans it and
+// validates the entry against the plan, so a store from a different spec
+// — or one with the wrong round structure — fails loudly, naming the line.
+void replay_store(store::store_writer& store,
+                  campaign::adaptive_allocator& allocator,
+                  const sharded_options& options) {
+    const auto data = store::load_store(store.directory());
+    const auto& rows = data.blocks;
+    for (std::size_t first = 0, end = 0; first < rows.size(); first = end) {
+        const std::uint64_t round = rows[first].round;
+        std::vector<partial_block> entry;
         std::vector<campaign::block_ref> blocks;
         std::vector<campaign::cell_partial> partials;
-        blocks.reserve(entry.blocks.size());
-        partials.reserve(entry.blocks.size());
-        for (const auto& b : entry.blocks) {
+        for (end = first; end < rows.size() && rows[end].seq == rows[first].seq;
+             ++end) {
+            const auto& b = rows[end].block;
+            entry.push_back(b);
             blocks.push_back(
                 campaign::block_ref{b.index, b.cell, 0, b.partial.trials});
             partials.push_back(b.partial);
         }
         try {
-            allocator.replay_round(entry.round, blocks, partials);
+            allocator.replay_round(round, blocks, partials);
         } catch (const std::exception& e) {
-            throw std::runtime_error{"checkpoint: " + ckpt.directory() +
-                                     "/rounds.log line " +
-                                     std::to_string(i + 1) + ": " + e.what()};
+            throw std::runtime_error{"store: " + store.directory() +
+                                     "/ingest.log line " +
+                                     std::to_string(rows[first].seq) + ": " +
+                                     e.what()};
         }
-        if (options.block_ingest)
-            options.block_ingest(entry.round, entry.blocks);
-        if (options.round_observer) {
-            auto summary = allocator.summarize_round(entry.round, blocks);
-            summary.resumed = true;
-            emit_round(options, std::move(summary), 0.0, {}, {});
-        }
+        if (options.block_ingest) options.block_ingest(round, entry);
+        auto summary = allocator.summarize_round(round, blocks);
+        summary.resumed = true;
+        publish_round(&store, options, summary);
     }
 }
 
@@ -308,7 +305,7 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
 
     const auto digest = spec_digest(spec);
     campaign::adaptive_allocator allocator{spec};
-    auto ckpt = open_checkpoint(options, digest);
+    auto store = open_store(spec, options);
 
     // With options.net every round's attempts lease to the coordinator's
     // nodes, which stay registered across rounds; otherwise they run on
@@ -326,12 +323,11 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
     // decisions consume only merged partials, and block partials are pure
     // functions of (master_seed, block), so this reproduces
     // engine{spec}.run() byte for byte at any shard count, any retry
-    // pattern, and across any kill/resume boundary: a round is checkpointed
-    // only after record_round() accepted it, and replaying the checkpointed
+    // pattern, and across any kill/resume boundary: a round is stored
+    // only after record_round() accepted it, and replaying the stored
     // rounds rebuilds the allocator state bit for bit.
     const auto shard_spec = shard_execution_spec(spec, options);
-    if (ckpt.has_value())
-        replay_checkpoint(*ckpt, allocator, options);
+    if (store.has_value()) replay_store(*store, allocator, options);
     for (;;) {
         const auto round = allocator.plan_round();
         if (round.empty()) break;
@@ -344,31 +340,38 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
         allocator.record_round(
             round,
             collect_block_partials(spec, round, outcome.partials, number));
-        if (ckpt.has_value() || options.block_ingest) {
+        if (store.has_value() || options.block_ingest) {
             // The durable unit is one *accepted* round, persisted before
-            // any observer runs — so a --kill-after-round harness (or a
-            // real death between rounds) always leaves the round it just
-            // saw on disk. Blocks are reassembled into round order from
-            // the round-robin job split. The store ingests the identical
-            // round-ordered list, after the checkpoint append.
+            // any observer runs. Blocks are reassembled into round order
+            // from the round-robin job split; the hook gets the identical
+            // list after the store's fsync'd append.
             const std::size_t count = outcome.partials.size();
             std::vector<partial_block> entry_blocks;
             entry_blocks.reserve(round.size());
             for (std::size_t p = 0; p < round.size(); ++p)
                 entry_blocks.push_back(
                     outcome.partials[p % count].blocks[p / count]);
-            if (ckpt.has_value()) ckpt->append(number, entry_blocks);
+            if (store.has_value()) store->ingest_blocks(number, entry_blocks);
             if (options.block_ingest)
                 options.block_ingest(number, entry_blocks);
         }
-        if (options.round_observer)
-            emit_round(options, allocator.summarize_round(number, round),
-                       std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count(),
-                       std::move(outcome.times), outcome.stats);
+        if (store.has_value() || options.round_observer) {
+            auto summary = allocator.summarize_round(number, round);
+            summary.wall_seconds = std::chrono::duration<double>(
+                                       std::chrono::steady_clock::now() - start)
+                                       .count();
+            summary.shards = std::move(outcome.times);
+            summary.retries = outcome.stats.retries;
+            summary.requeued_blocks = outcome.stats.requeued_blocks;
+            summary.timeouts = outcome.stats.timeouts;
+            summary.evictions = outcome.stats.evictions;
+            summary.reconnects = outcome.stats.reconnects;
+            publish_round(store ? &*store : nullptr, options, summary);
+        }
     }
-    return allocator.report();
+    auto report = allocator.report();
+    if (store.has_value()) store->finalize(report, obs::metrics_json());
+    return report;
 }
 
 }  // namespace pssp::dist

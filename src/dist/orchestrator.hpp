@@ -26,12 +26,22 @@
 // failure, its argv, and its block manifest — trials are never silently
 // dropped.
 //
-// Checkpoint/resume (options.checkpoint_dir): the durable unit is one
-// accepted round, fixed or adaptive, persisted through dist::checkpoint_log
-// — so a run whose *orchestrator* dies can be resumed (options.resume) and
-// produce a byte-identical report, replaying the logged rounds through the
-// allocator and running only the rounds after them. A fixed campaign has
-// one round, so a fixed run killed mid-way re-runs all of its blocks.
+// Persistence/resume (options.checkpoint_dir): the result store
+// (store/store.hpp) is the run's one durable log. The durable unit is one
+// accepted round, fixed or adaptive: its blocks entry is appended and
+// fsync'd, then the block_ingest hook runs, then the completed round
+// summary is stored, then the round observer runs. A run whose
+// *orchestrator* dies can be resumed (options.resume) and produce a
+// byte-identical report, replaying the stored rounds (store::load_store)
+// through the allocator and running only the rounds after them; the store
+// is finalized with the report before run_sharded returns. A torn final
+// log line is dropped and its round re-runs. Resuming a complete store
+// replays it, spawns no worker, appends nothing, and throws if the report
+// does not hash to the stored completion entry. A fixed campaign has one
+// round, so a fixed run killed mid-way re-runs all of its blocks.
+//
+// Link note: this file's definitions compile into pssp_store, which links
+// pssp_dist, so the library graph stays acyclic.
 #pragma once
 
 #include <functional>
@@ -65,16 +75,16 @@ struct sharded_options {
     // blocks/trials issued, the widest remaining Wilson half-width, and
     // per-shard wall/user/sys times — the same summaries
     // campaign::engine::set_round_observer gets, plus the shard times and
-    // recovery totals. tools_campaign_shard writes its --telemetry JSONL,
-    // feeds its --store and renders --progress from this. Called from the
-    // orchestrating thread between rounds.
+    // recovery totals. tools_campaign_shard writes its --telemetry JSONL
+    // and renders --progress from this. Called from the orchestrating
+    // thread between rounds, after the round is durable in the store.
     std::function<void(const obs::round_summary&)> round_observer;
-    // Result-store ingest hook (src/store/): handed exactly the validated
-    // block partials the checkpoint log persists — once per accepted round
-    // (blocks reassembled into round order, after the allocator accepted
-    // the round and after the checkpoint append), and once per replayed
-    // round on resume. Ingest dedups by block index, so
-    // the at-least-once delivery this schedule implies is harmless. Called
+    // Block hook: handed exactly the validated block partials the store
+    // persists — once per accepted round (blocks reassembled into round
+    // order, after the allocator accepted the round and after the store
+    // append), and once per replayed round on resume. A consumer that
+    // ingests into a store of its own dedups by block index, so the
+    // at-least-once delivery this schedule implies is harmless. Called
     // from the orchestrating thread; a strict side channel — nothing
     // flows back into the merge or the report.
     std::function<void(std::uint64_t round, std::span<const partial_block>)>
@@ -94,12 +104,12 @@ struct sharded_options {
     // dist/supervisor.hpp). max_attempts = 1 restores the old fail-fast
     // behavior exactly.
     fault_policy faults;
-    // Checkpoint directory (dist/checkpoint.hpp). Empty = no
-    // checkpointing. With resume = false the directory must not already
-    // hold a checkpoint; with resume = true it must, with a matching spec
-    // digest, and completed work recorded there is replayed instead of
-    // re-run — the resumed report is byte-identical to an uninterrupted
-    // one.
+    // Result-store directory (store/store.hpp), the run's durable log.
+    // Empty = nothing persisted. With resume = false the directory must
+    // not already hold a store; with resume = true it must, with a
+    // matching spec digest, and completed rounds recorded there are
+    // replayed instead of re-run — the resumed report is byte-identical
+    // to an uninterrupted one.
     std::string checkpoint_dir;
     bool resume = false;
 
@@ -107,7 +117,7 @@ struct sharded_options {
     // Engaged: run_jobs leases every attempt to tools_campaign_node
     // daemons registered with a dist::coordinator (remote channels)
     // instead of forking local workers. The jobs, the classify/requeue
-    // loop, the checkpoint log, and the merge are the same code either
+    // loop, the result store, and the merge are the same code either
     // way, so the report is byte-identical to the local path at any
     // worker count or fault schedule. The fault_policy above (including
     // its deadline) governs remote attempts too.

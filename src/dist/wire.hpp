@@ -91,9 +91,9 @@ struct partial_report {
 [[nodiscard]] partial_report partial_from_json(std::string_view text);
 
 // One partial block as a bare JSON object (hexfloat-exact Welford state),
-// and back. Shared by the partial message and the dist checkpoint log
-// (dist/checkpoint.hpp) so the two serializations can never drift — a
-// checkpointed block round-trips through exactly the bytes a live shard
+// and back. Shared by the partial message and the result store's ingest
+// log (store/format.hpp) so the two serializations can never drift — a
+// persisted block round-trips through exactly the bytes a live shard
 // would have put on the pipe.
 void append_partial_block(std::string& out, const partial_block& block);
 [[nodiscard]] partial_block partial_block_from_json(const util::json_value& v);

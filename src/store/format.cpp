@@ -10,9 +10,8 @@ namespace pssp::store {
 
 namespace {
 
-// Every ingest.log line is {"e":<body>,"fnv":"<16 hex>"} — the same
-// fixed-width armor idiom as the dist checkpoint, under a different
-// wrapper key so a store log can never be mistaken for a checkpoint.
+// Every ingest.log line is {"e":<body>,"fnv":"<16 hex>"} — fixed-width
+// armor, so the hashed body substring is recoverable without parsing.
 constexpr std::string_view line_prefix = "{\"e\":";
 constexpr std::string_view fnv_prefix = ",\"fnv\":\"";
 constexpr std::size_t fnv_hex_digits = 16;

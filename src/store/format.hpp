@@ -1,9 +1,11 @@
 // The result store's on-disk format: a streaming campaign observatory.
 //
-// A store directory is the queryable twin of a checkpoint: the same
-// validated block partials the orchestrator accepts (and the round
-// summaries / registry snapshots `src/obs/` produces) land here in a
-// layout a reader can use *while the campaign is still running*:
+// A store directory is a sharded campaign's durable log and its
+// queryable result: the validated block partials the orchestrator
+// accepts (and the round summaries / registry snapshots `src/obs/`
+// produces) land here — one blocks entry per accepted round, the unit a
+// resumed run replays — in a layout a reader can use *while the campaign
+// is still running*:
 //
 //   <dir>/store.json    atomic manifest (tmp + rename): format version,
 //                       spec digest, the canonicalized wire spec object,
@@ -26,12 +28,13 @@
 //                       columns, round/shard provenance), so aggregation
 //                       scans columns instead of re-parsing JSONL.
 //
-// The ingest log is ground truth and is never truncated; segments are a
-// read-optimized projection of a log prefix. Segment encoding is a pure
-// function of its rows, so a torn segment (hash mismatch against the
-// manifest after a mid-write crash) is rebuilt from the log on the next
-// open and must re-hash to the manifest's value — corruption is repaired
-// exactly or fails loudly, never papered over.
+// The ingest log is ground truth and only ever loses a torn final line
+// (cut on resume); segments are a read-optimized projection of a log
+// prefix. Segment encoding is a pure function of its rows, so a torn
+// segment (hash mismatch against the manifest after a mid-write crash) is
+// rebuilt from the log on the next open and must re-hash to the
+// manifest's value — corruption is repaired exactly or fails loudly,
+// never papered over.
 #pragma once
 
 #include <cstdint>

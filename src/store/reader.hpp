@@ -11,9 +11,10 @@
 // file bit-for-bit or proves the log itself is damaged and fails loudly.
 //
 // A torn *final* log line (no trailing newline — the one state a killed
-// single-write(2) appender can leave) is dropped and reported; a torn or
-// corrupt line anywhere else is a hard error, same policy as checkpoint
-// resume.
+// single-write(2) appender can leave) is dropped and reported; a resumed
+// run re-runs its round, which is safe because a round is only observed
+// after its lines are fsync'd. A torn or corrupt line anywhere else is a
+// hard error naming the file and line.
 //
 // store_tailer is the `--follow` primitive: an incremental poll over
 // ingest.log that yields each newly completed hashed line as a decoded

@@ -24,7 +24,14 @@ namespace {
 store_writer store_writer::open(const std::string& dir,
                                 const campaign::campaign_spec& spec,
                                 bool resume, const writer_options& options) {
-    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST)
+    std::string existing;
+    const bool present = util::read_file(dir + "/store.json", existing);
+    if (resume && !present)
+        fail(dir + " holds no result store to resume (missing store.json)");
+    if (!resume && present)
+        fail("refusing to overwrite existing result store in " + dir +
+             " (pass --resume to continue it, or delete it first)");
+    if (!present && ::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST)
         fail("cannot create directory " + dir);
 
     // The manifest's spec is the digest's canonical form: execution knobs
@@ -39,21 +46,17 @@ store_writer store_writer::open(const std::string& dir,
     w.dir_ = dir;
     w.options_ = options;
 
-    std::string existing;
-    if (util::read_file(dir + "/store.json", existing)) {
-        if (!resume)
-            fail("refusing to overwrite existing result store in " + dir +
-                 " (pass --resume to continue it, or delete it first)");
+    if (present) {
         auto data = load_store(dir);  // verifies + repairs segments
         if (data.meta.spec_digest != digest)
             fail(dir + ": spec digest mismatch (store " +
                  std::to_string(data.meta.spec_digest) + ", this run " +
                  std::to_string(digest) +
                  ") — this store belongs to a different campaign");
-        if (data.complete)
-            fail(dir + " is already complete — refusing to ingest into a "
-                       "finished campaign");
         w.manifest_ = std::move(data.meta);
+        // A completion entry in the log counts even if the manifest flip
+        // after it never landed.
+        w.manifest_.complete = data.complete;
         w.next_seq_ = data.next_seq;
         for (const auto& r : data.blocks) {
             w.seen_blocks_.insert(r.block.index);
@@ -64,7 +67,19 @@ store_writer store_writer::open(const std::string& dir,
             w.round_entries_ += 1;
             if (r.seq > w.manifest_.compacted_seq) w.pending_rounds_.push_back(r);
         }
-        w.log_fd_ = util::open_append(dir + "/ingest.log", /*truncate=*/false);
+        const std::string log_path = dir + "/ingest.log";
+        w.log_fd_ = util::open_append(log_path, /*truncate=*/false);
+        if (data.dropped_torn_tail) {
+            // Cut the torn final line before the first append, or the next
+            // entry would be glued onto its bytes.
+            util::line_scan_result scan;
+            util::scan_lines(log_path, [](std::size_t, std::string_view) {},
+                             scan);
+            if (::ftruncate(w.log_fd_,
+                            static_cast<off_t>(scan.consumed_bytes)) != 0 ||
+                ::fsync(w.log_fd_) != 0)
+                fail("cannot cut the torn tail of " + log_path);
+        }
         return w;
     }
 
@@ -89,8 +104,7 @@ store_writer::store_writer(store_writer&& other) noexcept
       rounds_since_compact_{other.rounds_since_compact_},
       round_entries_{other.round_entries_},
       ingested_blocks_{other.ingested_blocks_},
-      skipped_blocks_{other.skipped_blocks_},
-      segments_written_{other.segments_written_} {
+      skipped_blocks_{other.skipped_blocks_} {
     other.log_fd_ = -1;
 }
 
@@ -99,6 +113,9 @@ store_writer::~store_writer() {
 }
 
 void store_writer::append_entry(const log_entry& entry) {
+    if (manifest_.complete)
+        fail(dir_ + " is already complete — refusing to ingest into a "
+                    "finished campaign");
     const auto line = encode_log_line(entry);
     const std::string log_path = dir_ + "/ingest.log";
     util::write_all(log_fd_, line, log_path);
@@ -175,11 +192,21 @@ void store_writer::compact() {
 
     pending_blocks_.clear();
     pending_rounds_.clear();
-    segments_written_ += 1;
 }
 
 void store_writer::finalize(const campaign::campaign_report& report,
                             const std::string& metrics_json) {
+    const std::uint64_t report_fnv = util::fnv1a64(report.to_json());
+    if (manifest_.complete) {
+        // A resumed complete store is read-only: the replayed report must
+        // be the one the store already vouches for.
+        const auto stored = load_store(dir_).done.report_fnv;
+        if (stored != report_fnv)
+            fail(dir_ + ": report FNV " + std::to_string(report_fnv) +
+                 " differs from the stored completion entry's " +
+                 std::to_string(stored));
+        return;
+    }
     compact();
     // Metrics and completion live past the compaction frontier forever:
     // compaction only ever covers block/round rows, so a log scan always
@@ -188,8 +215,8 @@ void store_writer::finalize(const campaign::campaign_report& report,
         append_entry(log_entry::make_metrics(next_seq_, metrics_json));
         next_seq_ += 1;
     }
-    append_entry(log_entry::make_complete(next_seq_, round_entries_,
-                                          util::fnv1a64(report.to_json())));
+    append_entry(
+        log_entry::make_complete(next_seq_, round_entries_, report_fnv));
     next_seq_ += 1;
     manifest_.complete = true;
     write_manifest();

@@ -1,20 +1,22 @@
-// The store's write path: a strict side channel on the orchestrator's
-// accepted-round path.
+// The store's write path: the orchestrator's one durable log.
 //
-// store_writer receives exactly what the checkpoint log receives — block
-// partials the merge already validated — plus the obs round summaries and
-// a final registry snapshot, and lands them durably (complete hashed
-// line + fsync per ingest) in <dir>/ingest.log, compacting to column
-// segments every few rounds and at finalize. Nothing here is read back
-// into a trial, a merge, or a report: with the store on or off, at any
-// --jobs or shard count, the campaign report bytes are pinned identical
-// (tests/store/store_test.cpp, CI store-identity job).
+// dist::run_sharded opens a store_writer in sharded_options::checkpoint_dir
+// and hands it exactly the block partials the merge validated, one
+// ingest_blocks per accepted round, then the round's obs summary, then at
+// the end the final registry snapshot. Each lands durably (complete hashed
+// line + fsync per ingest) in <dir>/ingest.log, compacted to column
+// segments every few rounds and at finalize. A resumed run reads the
+// accepted rounds back with load_store and replays them through the
+// allocator. Nothing here changes a trial, a merge, or a report: with the
+// store on or off, at any --jobs or shard count, the campaign report
+// bytes are pinned identical (tests/store/store_test.cpp, CI
+// store-identity job).
 //
 // Ingest is idempotent by construction: a block index already present is
-// skipped, which is what makes checkpoint-resume replays, fixed-run
-// restored blocks, and at-least-once retry patterns safe to feed straight
-// through — block partials are pure functions of (master_seed, block), so
-// the first ingested copy of a block is the only possible value.
+// skipped, which is what makes resume replays and at-least-once retry
+// patterns safe to feed straight through — block partials are pure
+// functions of (master_seed, block), so the first ingested copy of a
+// block is the only possible value.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +38,16 @@ struct writer_options {
 
 class store_writer {
   public:
-    // Opens a store directory for a campaign. Fresh directory: writes the
+    // Opens a store directory for a campaign. Fresh run (`resume` false):
+    // refuses a directory that already holds a store, else writes the
     // manifest (canonicalized spec + digest) and starts an empty log.
-    // Existing store: requires `resume`, a matching spec digest, and an
-    // incomplete store — torn segments are repaired on the way in, and
-    // already-ingested blocks/rounds are remembered so replays dedup.
-    // A fresh run refusing an existing store mirrors checkpoint_log.
+    // Resume: requires an existing store (throws naming `dir`, creating
+    // nothing, when there is none) with a matching spec digest. Torn
+    // segments are repaired on the way in, a torn final log line is cut
+    // off (and fsync'd) before the first append, and already-ingested
+    // blocks/rounds are remembered so replays dedup. A complete store
+    // opens read-only: any ingest that would append throws, and finalize
+    // only checks the report against the stored completion entry.
     [[nodiscard]] static store_writer open(const std::string& dir,
                                            const campaign::campaign_spec& spec,
                                            bool resume,
@@ -65,7 +71,9 @@ class store_writer {
     // Final compaction, then the registry snapshot entry, then the
     // terminal completion entry carrying FNV-1a(report JSON) — the
     // self-check queries verify reconstruction against — then the
-    // manifest flips to complete.
+    // manifest flips to complete. On a store that was already complete
+    // it appends nothing and throws if the report's FNV differs from the
+    // stored one.
     void finalize(const campaign::campaign_report& report,
                   const std::string& metrics_json);
 
@@ -75,9 +83,6 @@ class store_writer {
     }
     [[nodiscard]] std::uint64_t skipped_blocks() const noexcept {
         return skipped_blocks_;
-    }
-    [[nodiscard]] std::uint64_t segments_written() const noexcept {
-        return segments_written_;
     }
 
   private:
@@ -100,7 +105,6 @@ class store_writer {
     std::uint64_t round_entries_ = 0;
     std::uint64_t ingested_blocks_ = 0;
     std::uint64_t skipped_blocks_ = 0;
-    std::uint64_t segments_written_ = 0;
 };
 
 }  // namespace pssp::store

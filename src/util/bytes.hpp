@@ -35,7 +35,7 @@ void store_le64(std::span<std::uint8_t> bytes, std::uint64_t value);
 }
 
 // FNV-1a 64 over a byte string. The integrity hash used by the dist wire
-// spec digest and the checkpoint log's per-line guards: not cryptographic,
+// spec digest and the store ingest log's per-line guards: not cryptographic,
 // but a single flipped character (even one hexfloat mantissa digit) always
 // changes it, which is exactly what "fail loudly, never merge corruption"
 // needs.
@@ -49,8 +49,8 @@ void store_le64(std::span<std::uint8_t> bytes, std::uint64_t value);
 }
 
 // Fixed-width 16-digit lowercase hex of a 64-bit word, appended without a
-// prefix — the integrity-hash wire form shared by the dist checkpoint log
-// and the store ingest log ("{...,\"fnv\":\"<16hex>\"}").
+// prefix — the integrity-hash wire form of the store ingest log
+// ("{...,\"fnv\":\"<16hex>\"}").
 void append_hex16(std::string& out, std::uint64_t value);
 
 // Parses exactly 16 lowercase hex digits; false on any other input.

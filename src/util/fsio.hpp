@@ -1,5 +1,5 @@
-// Small POSIX file-I/O helpers shared by the durable-state writers (the
-// dist checkpoint log, the store ingest log) and their readers.
+// Small POSIX file-I/O helpers for the durable-state writer (the store
+// ingest log and its manifest and segments) and its readers.
 //
 // Three idioms live here so every durable artifact behaves the same way:
 //
@@ -11,8 +11,8 @@
 //    in fixed-size chunks, so replaying a multi-gigabyte log never
 //    buffers more than the longest single line. The scan reports whether
 //    trailing bytes without a newline were left over (a torn final line
-//    from a mid-write crash); the caller decides whether that is fatal
-//    (checkpoint resume) or tolerable (store ingest-log tail).
+//    from a mid-write crash) and where the last complete line ends; the
+//    store drops such a tail and cuts it off before appending again.
 //
 // All failures throw std::runtime_error naming the path and errno text.
 #pragma once

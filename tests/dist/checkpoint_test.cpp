@@ -1,36 +1,40 @@
-// Crash-resumable checkpoints, end to end: checkpointed sharded runs
-// (real fork/exec workers), log truncation to simulate an orchestrator
-// death mid-campaign, and --resume producing a byte-identical report
-// while re-running only the missing rounds. The durable unit is one
-// accepted round for fixed (round 0) and adaptive runs alike. Pins the
-// corruption contract:
-// a truncated line, a flipped hexfloat digit, and a foreign spec digest
-// each fail resume loudly with a position-bearing error — silent resume
-// from damaged state is impossible.
+// Crash-resumable sharded runs, end to end: the result store in
+// sharded_options::checkpoint_dir is the orchestrator's one durable log.
+// Real fork/exec workers; an orchestrator death is simulated by a round
+// observer that throws after round N (the store has already fsync'd that
+// round), and --resume must produce a byte-identical report while
+// re-running only the missing rounds. The durable unit is one accepted
+// round for fixed (round 0) and adaptive runs alike. Pins the corruption
+// contract: a flipped hexfloat digit, a foreign spec digest and a wrong
+// round structure each fail resume loudly with a position-bearing error,
+// while a torn final line (the one state a killed appender leaves) is
+// dropped and its round re-run.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "campaign/engine.hpp"
-#include "dist/checkpoint.hpp"
 #include "dist/orchestrator.hpp"
 #include "dist/wire.hpp"
 #include "obs/telemetry.hpp"
+#include "store/query.hpp"
+#include "store/reader.hpp"
+#include "store/store.hpp"
+#include "util/bytes.hpp"
 
 namespace pssp {
 namespace {
 
-// A unique empty directory under the gtest temp root; checkpoint_log
-// creates the directory itself when missing, so handing it a fresh path
-// (not yet created) exercises that too.
+// A unique path under the gtest temp root, not yet created: the store
+// creates its directory itself, so this exercises that too.
 std::string fresh_dir(const char* tag) {
     static int serial = 0;
     return ::testing::TempDir() + "pssp-ckpt-" + tag + "-" +
@@ -51,20 +55,13 @@ void write_file(const std::string& path, const std::string& content) {
     out << content;
 }
 
-std::size_t line_count(const std::string& text) {
+// Accepted rounds in an ingest log: one blocks entry each.
+std::size_t blocks_entries(const std::string& log) {
     std::size_t n = 0;
-    for (const char c : text)
-        if (c == '\n') ++n;
+    for (auto pos = log.find("\"k\":\"blocks\""); pos != std::string::npos;
+         pos = log.find("\"k\":\"blocks\"", pos + 1))
+        ++n;
     return n;
-}
-
-// Keeps only the first checkpoint log entry: the on-disk state of an
-// orchestrator that died after its first durable unit.
-void truncate_to_first_line(const std::string& path) {
-    const auto content = read_file(path);
-    const auto nl = content.find('\n');
-    ASSERT_NE(nl, std::string::npos) << path << " has no complete line";
-    write_file(path, content.substr(0, nl + 1));
 }
 
 campaign::campaign_spec small_spec() {
@@ -79,7 +76,7 @@ campaign::campaign_spec small_spec() {
 }
 
 // Two deterministic adaptive rounds (target 0 never converges; 4 blocks
-// at 2 per round), so the log holds two lines.
+// at 2 per round), so the store holds two blocks entries.
 campaign::campaign_spec two_round_spec() {
     auto spec = small_spec();
     spec.adaptive = true;
@@ -90,7 +87,7 @@ campaign::campaign_spec two_round_spec() {
     return spec;
 }
 
-dist::sharded_options checkpointed_options(const std::string& dir) {
+dist::sharded_options stored_options(const std::string& dir) {
     dist::sharded_options options;
     options.shards = 2;
     options.flight_recorder = false;
@@ -99,58 +96,86 @@ dist::sharded_options checkpointed_options(const std::string& dir) {
     return options;
 }
 
+// Runs `spec` into a fresh store and "kills" the orchestrator right after
+// round `round` was observed, the way --kill-after-round does.
+void run_until_killed(const campaign::campaign_spec& spec,
+                      const std::string& dir, std::uint64_t round) {
+    struct killed {};
+    auto options = stored_options(dir);
+    options.round_observer = [round](const obs::round_summary& r) {
+        if (r.round == round) throw killed{};
+    };
+    EXPECT_THROW((void)dist::run_sharded(spec, options), killed);
+}
+
+// What `tools_campaign_query --verify` checks: complete, and the
+// reconstructed report hashes to the completion entry.
+void expect_store_verifies(const std::string& dir,
+                           const std::string& reference) {
+    const auto data = store::load_store(dir);
+    EXPECT_TRUE(data.complete);
+    EXPECT_FALSE(data.dropped_torn_tail);
+    EXPECT_EQ(store::reconstruct_report(data).to_json(), reference);
+    EXPECT_EQ(data.done.report_fnv, util::fnv1a64(reference));
+}
+
 TEST(dist_checkpoint, fixed_resume_is_byte_identical) {
     const auto spec = small_spec();
     const auto reference = campaign::engine{spec}.run().to_json();
     const auto dir = fresh_dir("fixed");
-    auto options = checkpointed_options(dir);
+    auto options = stored_options(dir);
 
-    // A checkpointed run changes nothing about the report...
+    // A stored run changes nothing about the report...
     EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference);
-    // ...and leaves one durable entry: the fixed campaign's round 0.
-    const auto log_path = dir + "/rounds.log";
-    EXPECT_EQ(line_count(read_file(log_path)), 1u);
+    // ...and leaves one durable round: the fixed campaign's round 0.
+    const auto log_path = dir + "/ingest.log";
+    const auto log = read_file(log_path);
+    EXPECT_EQ(blocks_entries(log), 1u);
+    expect_store_verifies(dir, reference);
 
-    // Resume from the complete log replays round 0 and spawns no worker:
-    // pointing the run at a missing worker binary would fail any spawn.
-    options.resume = true;
-    auto replay_only = options;
-    replay_only.worker_path = "/nonexistent/campaign_worker";
-    EXPECT_EQ(dist::run_sharded(spec, replay_only).to_json(), reference);
-
-    // A run killed before round 0 became durable leaves an empty log;
-    // resume re-runs every block and appends the round again.
-    write_file(log_path, "");
-    EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference);
-    EXPECT_EQ(line_count(read_file(log_path)), 1u);
+    // A run that died before round 0 was durable leaves a store with no
+    // round; resume re-runs every block. The "death": a worker that
+    // cannot be spawned, with no retries.
+    const auto empty_dir = fresh_dir("fixed-empty");
+    auto doomed = stored_options(empty_dir);
+    doomed.worker_path = "/nonexistent/campaign_worker";
+    doomed.faults.max_attempts = 1;
+    EXPECT_THROW((void)dist::run_sharded(spec, doomed), std::runtime_error);
+    EXPECT_EQ(blocks_entries(read_file(empty_dir + "/ingest.log")), 0u);
+    auto resume = stored_options(empty_dir);
+    resume.resume = true;
+    EXPECT_EQ(dist::run_sharded(spec, resume).to_json(), reference);
+    EXPECT_EQ(blocks_entries(read_file(empty_dir + "/ingest.log")), 1u);
+    expect_store_verifies(empty_dir, reference);
 }
 
-TEST(dist_checkpoint, per_job_fixed_log_fails_resume_with_its_position) {
-    // A fixed run's log split into one round-0 line per shard job cannot
-    // be replayed as the single round 0; resume must say where it broke.
+TEST(dist_checkpoint, per_job_fixed_store_fails_resume_with_its_position) {
+    // A fixed run's round split into one round-0 blocks entry per shard
+    // job cannot be replayed as the single round 0; resume must say where
+    // it broke.
     const auto spec = small_spec();
     const auto dir = fresh_dir("per-job");
     {
-        auto log = dist::checkpoint_log::create(dir, dist::spec_digest(spec));
+        auto writer = store::store_writer::open(dir, spec, false);
         for (const auto& b : campaign::blocks_for(spec)) {
             dist::partial_block block;
             block.index = b.index;
             block.cell = b.cell;
             block.partial.trials = b.trials;
-            log.append(0, std::vector<dist::partial_block>{block});
+            writer.ingest_blocks(0, std::vector<dist::partial_block>{block});
         }
     }
-    const auto log_path = dir + "/rounds.log";
-    ASSERT_EQ(line_count(read_file(log_path)), 2u);
+    ASSERT_EQ(blocks_entries(read_file(dir + "/ingest.log")), 2u);
 
-    auto options = checkpointed_options(dir);
+    auto options = stored_options(dir);
     options.resume = true;
     try {
         (void)dist::run_sharded(spec, options);
-        FAIL() << "a per-job fixed log must fail resume";
+        FAIL() << "a per-job fixed store must fail resume";
     } catch (const std::runtime_error& e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find(log_path + " line 1"), std::string::npos) << what;
+        EXPECT_NE(what.find(dir + "/ingest.log line 1"), std::string::npos)
+            << what;
         EXPECT_NE(what.find("round 0"), std::string::npos) << what;
     }
 }
@@ -161,13 +186,10 @@ TEST(dist_checkpoint, adaptive_resume_is_byte_identical) {
     const auto spec = two_round_spec();
     const auto reference = campaign::engine{spec}.run().to_json();
     const auto dir = fresh_dir("adaptive");
-    auto options = checkpointed_options(dir);
+    run_until_killed(spec, dir, 1);
+    EXPECT_EQ(blocks_entries(read_file(dir + "/ingest.log")), 1u);
 
-    EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference);
-    const auto log_path = dir + "/rounds.log";
-    EXPECT_EQ(line_count(read_file(log_path)), 2u);
-
-    truncate_to_first_line(log_path);
+    auto options = stored_options(dir);
     options.resume = true;
     std::vector<obs::round_summary> rounds;
     options.round_observer = [&rounds](const obs::round_summary& r) {
@@ -178,55 +200,68 @@ TEST(dist_checkpoint, adaptive_resume_is_byte_identical) {
     ASSERT_EQ(rounds.size(), 2u);
     EXPECT_TRUE(rounds[0].resumed);
     EXPECT_FALSE(rounds[1].resumed);
+    EXPECT_EQ(blocks_entries(read_file(dir + "/ingest.log")), 2u);
+    expect_store_verifies(dir, reference);
 }
 
-TEST(dist_checkpoint, truncated_log_line_fails_resume_loudly) {
+TEST(dist_checkpoint, torn_tail_is_dropped_and_its_round_reruns) {
+    // Killed after round 2, then the tail torn inside round 2's blocks
+    // entry: the torn line is dropped, round 1 replays, round 2 re-runs,
+    // and the resumed store verifies — the torn bytes were cut before
+    // the first append instead of being glued to it.
     const auto spec = two_round_spec();
-    const auto dir = fresh_dir("trunc");
-    auto options = checkpointed_options(dir);
-    (void)dist::run_sharded(spec, options);
+    const auto reference = campaign::engine{spec}.run().to_json();
+    const auto dir = fresh_dir("torn");
+    run_until_killed(spec, dir, 2);
 
-    const auto log_path = dir + "/rounds.log";
-    auto content = read_file(log_path);
-    ASSERT_GT(content.size(), 10u);
-    content.resize(content.size() - 10);  // tear the tail of line 2
-    write_file(log_path, content);
+    // Lines: 1 = round 1 blocks, 2 = round 1 summary, 3 = round 2 blocks,
+    // 4 = round 2 summary. Keep lines 1-2 and half of line 3.
+    const auto log_path = dir + "/ingest.log";
+    const auto log = read_file(log_path);
+    ASSERT_EQ(blocks_entries(log), 2u);
+    const auto end2 = log.find('\n', log.find('\n') + 1);
+    const auto end3 = log.find('\n', end2 + 1);
+    ASSERT_NE(end3, std::string::npos);
+    write_file(log_path, log.substr(0, end2 + 1 + (end3 - end2) / 2));
+    ASSERT_TRUE(store::load_store(dir).dropped_torn_tail);
 
+    auto options = stored_options(dir);
     options.resume = true;
-    try {
-        (void)dist::run_sharded(spec, options);
-        FAIL() << "a torn checkpoint line must fail resume";
-    } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("rounds.log"), std::string::npos) << what;
-        EXPECT_NE(what.find("line 2"), std::string::npos) << what;
-        EXPECT_NE(what.find("truncated"), std::string::npos) << what;
-    }
+    std::vector<obs::round_summary> rounds;
+    options.round_observer = [&rounds](const obs::round_summary& r) {
+        rounds.push_back(r);
+    };
+    EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference);
+    ASSERT_EQ(rounds.size(), 2u);
+    EXPECT_TRUE(rounds[0].resumed);
+    EXPECT_FALSE(rounds[1].resumed) << "the torn round must re-run";
+    EXPECT_EQ(blocks_entries(read_file(log_path)), 2u);
+    expect_store_verifies(dir, reference);
 }
 
 TEST(dist_checkpoint, flipped_hexfloat_digit_fails_resume_loudly) {
     const auto spec = small_spec();
     const auto dir = fresh_dir("flip");
-    auto options = checkpointed_options(dir);
-    (void)dist::run_sharded(spec, options);
+    run_until_killed(spec, dir, 0);
 
     // Flip one hex digit inside the first hexfloat of line 1. The entry
     // stays structurally valid JSON — only the integrity hash can tell.
-    const auto log_path = dir + "/rounds.log";
+    const auto log_path = dir + "/ingest.log";
     auto content = read_file(log_path);
     const auto pos = content.find("0x");
     ASSERT_NE(pos, std::string::npos) << "no hexfloat in the log";
-    ASSERT_LT(pos + 2, content.size());
+    ASSERT_LT(pos + 2, content.find('\n'));
     content[pos + 2] = content[pos + 2] == '0' ? '1' : '0';
     write_file(log_path, content);
 
+    auto options = stored_options(dir);
     options.resume = true;
     try {
         (void)dist::run_sharded(spec, options);
-        FAIL() << "a corrupt checkpoint entry must fail resume";
+        FAIL() << "a corrupt store entry must fail resume";
     } catch (const std::runtime_error& e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+        EXPECT_NE(what.find(log_path + " line 1"), std::string::npos) << what;
         EXPECT_NE(what.find("integrity hash mismatch"), std::string::npos)
             << what;
     }
@@ -235,14 +270,14 @@ TEST(dist_checkpoint, flipped_hexfloat_digit_fails_resume_loudly) {
 TEST(dist_checkpoint, foreign_spec_digest_fails_resume_loudly) {
     auto spec = small_spec();
     const auto dir = fresh_dir("foreign");
-    auto options = checkpointed_options(dir);
+    auto options = stored_options(dir);
     (void)dist::run_sharded(spec, options);
 
     spec.master_seed += 1;  // a different campaign
     options.resume = true;
     try {
         (void)dist::run_sharded(spec, options);
-        FAIL() << "a foreign checkpoint must never be merged";
+        FAIL() << "a foreign store must never be merged";
     } catch (const std::runtime_error& e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("spec digest mismatch"), std::string::npos) << what;
@@ -253,43 +288,47 @@ TEST(dist_checkpoint, foreign_spec_digest_fails_resume_loudly) {
 TEST(dist_checkpoint, create_refuses_existing_and_resume_needs_one) {
     const auto spec = small_spec();
     const auto dir = fresh_dir("refuse");
-    auto options = checkpointed_options(dir);
+    auto options = stored_options(dir);
     (void)dist::run_sharded(spec, options);
 
-    // Without --resume an existing checkpoint must not be overwritten.
+    // Without --resume an existing store must not be overwritten.
     try {
         (void)dist::run_sharded(spec, options);
-        FAIL() << "a fresh run must refuse an existing checkpoint";
+        FAIL() << "a fresh run must refuse an existing store";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string{e.what()}.find("refusing to overwrite"),
                   std::string::npos)
             << e.what();
     }
-    // Resuming a directory that is not a checkpoint fails loudly.
-    options.checkpoint_dir = fresh_dir("empty");
+    // Resuming a directory that holds no store fails loudly, names it,
+    // and creates nothing.
+    const auto missing = fresh_dir("missing");
+    options.checkpoint_dir = missing;
     options.resume = true;
     try {
         (void)dist::run_sharded(spec, options);
-        FAIL() << "resume of a non-checkpoint directory must fail";
+        FAIL() << "resume of a directory without a store must fail";
     } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string{e.what()}.find("missing meta.json"),
-                  std::string::npos)
-            << e.what();
+        const std::string what = e.what();
+        EXPECT_NE(what.find(missing), std::string::npos) << what;
+        EXPECT_NE(what.find("missing store.json"), std::string::npos) << what;
     }
-    // Resume without a checkpoint directory is a usage error.
+    struct stat st {};
+    EXPECT_NE(::stat(missing.c_str(), &st), 0) << "resume created " << missing;
+    // Resume without a store directory is a usage error.
     options.checkpoint_dir.clear();
     EXPECT_THROW((void)dist::run_sharded(spec, options), std::invalid_argument);
 }
 
-TEST(dist_checkpoint, many_round_log_streams_back_exactly) {
-    // open_for_resume streams rounds.log line by line (util::scan_lines)
-    // rather than slurping it; a log far larger than the scanner's read
-    // chunk must replay every round in order with every hexfloat intact,
+TEST(dist_checkpoint, many_round_store_streams_back_exactly) {
+    // load_store streams ingest.log line by line (util::scan_lines) rather
+    // than slurping it; a log far larger than the scanner's read chunk
+    // must give back every round in order with every hexfloat intact,
     // including entries straddling chunk boundaries.
     const auto dir = fresh_dir("many");
     constexpr std::uint64_t kRounds = 500;
     {
-        auto log = dist::checkpoint_log::create(dir, /*digest=*/7);
+        auto writer = store::store_writer::open(dir, small_spec(), false);
         for (std::uint64_t round = 1; round <= kRounds; ++round) {
             std::vector<dist::partial_block> blocks;
             for (std::uint64_t b = 0; b < 3; ++b) {
@@ -302,21 +341,19 @@ TEST(dist_checkpoint, many_round_log_streams_back_exactly) {
                 block.partial.queries.add(static_cast<double>(b) + 0.0625);
                 blocks.push_back(block);
             }
-            log.append(round, blocks);
+            writer.ingest_blocks(round, blocks);
         }
     }
-    const auto log_path = dir + "/rounds.log";
-    EXPECT_EQ(line_count(read_file(log_path)), kRounds);
+    EXPECT_EQ(blocks_entries(read_file(dir + "/ingest.log")), kRounds);
 
-    auto log = dist::checkpoint_log::open_for_resume(dir, 7);
-    const auto& entries = log.recorded();
-    ASSERT_EQ(entries.size(), kRounds);
+    const auto data = store::load_store(dir);
+    ASSERT_EQ(data.blocks.size(), 3 * kRounds);
     for (std::uint64_t round = 1; round <= kRounds; ++round) {
-        const auto& entry = entries[round - 1];
-        ASSERT_EQ(entry.round, round);
-        ASSERT_EQ(entry.blocks.size(), 3u);
         for (std::uint64_t b = 0; b < 3; ++b) {
-            const auto& block = entry.blocks[b];
+            const auto& row = data.blocks[(round - 1) * 3 + b];
+            ASSERT_EQ(row.seq, round);
+            ASSERT_EQ(row.round, round);
+            const auto& block = row.block;
             EXPECT_EQ(block.index, (round - 1) * 3 + b);
             EXPECT_EQ(block.partial.hijacks, round % 5);
             // Bit-exact Welford state through the wire and back.
@@ -327,22 +364,6 @@ TEST(dist_checkpoint, many_round_log_streams_back_exactly) {
             EXPECT_EQ(block.partial.queries.save().m2, expect.save().m2);
         }
     }
-}
-
-TEST(dist_checkpoint, log_api_round_trips_and_validates_digest) {
-    const auto dir = fresh_dir("api");
-    {
-        auto log = dist::checkpoint_log::create(dir, /*digest=*/42);
-        EXPECT_TRUE(log.recorded().empty());
-        EXPECT_EQ(log.directory(), dir);
-    }
-    // A second create must refuse; resume with the wrong digest must too.
-    EXPECT_THROW((void)dist::checkpoint_log::create(dir, 42),
-                 std::runtime_error);
-    EXPECT_THROW((void)dist::checkpoint_log::open_for_resume(dir, 43),
-                 std::runtime_error);
-    auto log = dist::checkpoint_log::open_for_resume(dir, 42);
-    EXPECT_TRUE(log.recorded().empty());
 }
 
 }  // namespace

@@ -170,6 +170,35 @@ TEST(store_recovery, torn_final_log_line_is_dropped_and_reported) {
     EXPECT_FALSE(clean.dropped_torn_tail);
 }
 
+TEST(store_recovery, resume_cuts_a_torn_tail_before_appending) {
+    const auto spec = small_spec();
+    const auto dir = fresh_dir("torn-resume");
+    build_store(dir, spec);
+    {
+        // A killed appender's torn final line.
+        std::ofstream log{dir + "/ingest.log",
+                          std::ios::binary | std::ios::app};
+        ASSERT_TRUE(log);
+        log << "{\"e\":{\"k\":\"round\",\"seq\":7";
+    }
+    ASSERT_TRUE(store::load_store(dir).dropped_torn_tail);
+
+    {
+        // The resumed writer must start its first entry on a fresh line,
+        // not glue it onto the torn bytes.
+        auto writer = store::store_writer::open(dir, spec, /*resume=*/true);
+        obs::round_summary s;
+        s.round = 4;
+        writer.ingest_round(s);
+    }
+    const auto data = store::load_store(dir);
+    EXPECT_FALSE(data.dropped_torn_tail);
+    ASSERT_EQ(data.rounds.size(), 4u);
+    EXPECT_EQ(data.rounds.back().summary.round, 4u);
+    EXPECT_EQ(data.rounds.back().seq, 7u);
+    EXPECT_EQ(data.next_seq, 8u);
+}
+
 TEST(store_recovery, corrupt_interior_log_line_fails_with_line_number) {
     const auto spec = small_spec();
     const auto dir = fresh_dir("bad-line");

@@ -1,10 +1,11 @@
 // The result store's write path, end to end through the real fork/exec
-// orchestrator. Pins the three store contracts: (1) the side-channel
-// invariant — report bytes are identical with the store on or off, at
-// any shard count, fixed or adaptive; (2) the identity oracle — a
-// complete store reconstructs the campaign report byte for byte,
-// including after chaos faults and a kill/resume; (3) idempotent ingest —
-// replays and duplicate deliveries never change what a query sees.
+// orchestrator, which owns the writer (sharded_options::checkpoint_dir).
+// Pins the three store contracts: (1) the side-channel invariant — report
+// bytes are identical with the store on or off, at any shard count,
+// fixed or adaptive; (2) the identity oracle — a complete store
+// reconstructs the campaign report byte for byte, including after chaos
+// faults and a kill/resume; (3) idempotent ingest — replays and
+// duplicate deliveries never change what a query sees.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "dist/orchestrator.hpp"
 #include "store/query.hpp"
 #include "store/store.hpp"
+#include "util/fsio.hpp"
 
 namespace pssp {
 namespace {
@@ -58,27 +60,13 @@ dist::sharded_options base_options(unsigned shards) {
     return options;
 }
 
-// The tools/campaign_shard.cpp wiring in miniature: hook a store_writer
-// into the orchestrator's block/round side channels and finalize with
-// the run's report.
+// The tools_campaign_shard --store wiring: the orchestrator opens,
+// feeds and finalizes the store in `dir` itself.
 campaign::campaign_report run_with_store(const campaign::campaign_spec& spec,
                                          dist::sharded_options options,
-                                         const std::string& dir,
-                                         bool resume = false,
-                                         std::uint64_t compact_every = 1) {
-    store::writer_options wopts;
-    wopts.compact_every_rounds = compact_every;
-    auto writer = store::store_writer::open(dir, spec, resume, wopts);
-    options.block_ingest = [&writer](std::uint64_t round,
-                                     std::span<const dist::partial_block> b) {
-        writer.ingest_blocks(round, b);
-    };
-    options.round_observer = [&writer](const obs::round_summary& r) {
-        writer.ingest_round(r);
-    };
-    const auto report = dist::run_sharded(spec, options);
-    writer.finalize(report, "{\"test.metric\": 1}");
-    return report;
+                                         const std::string& dir) {
+    options.checkpoint_dir = dir;
+    return dist::run_sharded(spec, options);
 }
 
 TEST(store_store, report_identical_with_store_on_or_off_fixed) {
@@ -95,7 +83,8 @@ TEST(store_store, report_identical_with_store_on_or_off_fixed) {
         const auto data = store::load_store(dir);
         EXPECT_TRUE(data.complete);
         EXPECT_EQ(store::reconstruct_report(data).to_json(), reference);
-        EXPECT_EQ(data.metrics, "{\"test.metric\": 1}");
+        // Finalized with the registry snapshot of the run.
+        EXPECT_EQ(data.metrics.front(), '{');
     }
 }
 
@@ -219,25 +208,69 @@ TEST(store_store, resume_requires_matching_spec_digest) {
     }
 }
 
-TEST(store_store, complete_store_refuses_further_ingest) {
+TEST(store_store, resume_without_a_store_throws_and_creates_nothing) {
+    const auto spec = small_spec();
+    const auto dir = fresh_dir("absent");
+    try {
+        auto writer = store::store_writer::open(dir, spec, /*resume=*/true);
+        FAIL() << "expected resume of a missing store to throw";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(dir), std::string::npos) << what;
+        EXPECT_NE(what.find("missing store.json"), std::string::npos) << what;
+    }
+    EXPECT_NE(::access(dir.c_str(), F_OK), 0) << "resume created " << dir;
+}
+
+TEST(store_store, complete_store_resumes_read_only) {
     const auto spec = small_spec();
     const auto dir = fresh_dir("complete");
     const auto report = run_with_store(spec, base_options(1), dir);
+    const auto log_path = dir + "/ingest.log";
+    std::string log_before;
+    ASSERT_TRUE(util::read_file(log_path, log_before));
+
+    // Resume replays the complete store, spawns no worker (a missing
+    // worker binary would fail any spawn), and appends nothing.
+    auto options = base_options(2);
+    options.worker_path = "/nonexistent/campaign_worker";
+    options.resume = true;
+    EXPECT_EQ(run_with_store(spec, options, dir).to_json(), report.to_json());
+    std::string log_after;
+    ASSERT_TRUE(util::read_file(log_path, log_after));
+    EXPECT_EQ(log_after, log_before);
+
+    // A report that does not hash to the completion entry is refused, and
+    // so is anything that would append to the finished log.
+    auto writer = store::store_writer::open(dir, spec, true);
+    campaign::campaign_report other = report;
+    other.spec.master_seed += 1;
     try {
-        auto writer = store::store_writer::open(dir, spec, true);
+        writer.finalize(other, "{}");
+        FAIL() << "expected a mismatching report FNV to throw";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string{e.what()}.find("differs from the stored"),
+                  std::string::npos)
+            << e.what();
+    }
+    obs::round_summary fresh_round;
+    fresh_round.round = 7;
+    try {
+        writer.ingest_round(fresh_round);
         FAIL() << "expected the complete store to refuse ingest";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string{e.what()}.find("already complete"),
                   std::string::npos)
             << e.what();
     }
+    ASSERT_TRUE(util::read_file(log_path, log_after));
+    EXPECT_EQ(log_after, log_before);
 }
 
 TEST(store_store, kill_resume_reconstruction_is_byte_identical) {
     // An orchestrator killed between rounds leaves a store without its
-    // completion entry; resuming (checkpoint + store together, the
-    // campaign_shard --resume wiring) finishes both, and the final store
-    // answers identically to an uninterrupted run.
+    // completion entry; resuming finishes it, and the final store answers
+    // identically to an uninterrupted run.
     auto spec = small_spec();
     spec.adaptive = true;
     spec.target_ci_halfwidth = 0.0;
@@ -247,60 +280,35 @@ TEST(store_store, kill_resume_reconstruction_is_byte_identical) {
     const auto reference = campaign::engine{spec}.run().to_json();
 
     const auto store_dir = fresh_dir("kill");
-    const auto ckpt_dir = fresh_dir("kill-ckpt");
 
-    // "Kill" after round 1: run with a round_observer that throws once
-    // the first round is ingested — the writer's destructor runs, leaving
-    // a durable but incomplete store, exactly like a SIGKILL between
-    // rounds would.
+    // "Kill" after round 1: a round_observer that throws once round 1 is
+    // durable — the writer's destructor runs, leaving a durable but
+    // incomplete store, exactly like a SIGKILL between rounds would.
     struct stop_run {};
     {
-        store::writer_options wopts;
-        wopts.compact_every_rounds = 1;
-        auto writer = store::store_writer::open(store_dir, spec, false, wopts);
         auto options = base_options(2);
-        options.checkpoint_dir = ckpt_dir;
-        options.block_ingest =
-            [&writer](std::uint64_t round,
-                      std::span<const dist::partial_block> b) {
-                writer.ingest_blocks(round, b);
-            };
-        options.round_observer = [&writer](const obs::round_summary& r) {
-            writer.ingest_round(r);
+        options.round_observer = [](const obs::round_summary& r) {
             if (r.round == 1) throw stop_run{};
         };
-        EXPECT_THROW(dist::run_sharded(spec, options), stop_run);
+        EXPECT_THROW(run_with_store(spec, options, store_dir), stop_run);
     }
     {
         const auto partial = store::load_store(store_dir);
         EXPECT_FALSE(partial.complete);
         EXPECT_GT(partial.blocks.size(), 0u);
+        EXPECT_EQ(partial.rounds.size(), 1u);
     }
 
-    // Resume: checkpoint replays round 1 (the store dedups the replayed
-    // blocks), the remaining rounds run and ingest, finalize completes.
-    {
-        auto writer = store::store_writer::open(store_dir, spec, true);
-        auto options = base_options(2);
-        options.checkpoint_dir = ckpt_dir;
-        options.resume = true;
-        options.block_ingest =
-            [&writer](std::uint64_t round,
-                      std::span<const dist::partial_block> b) {
-                writer.ingest_blocks(round, b);
-            };
-        options.round_observer = [&writer](const obs::round_summary& r) {
-            writer.ingest_round(r);
-        };
-        const auto report = dist::run_sharded(spec, options);
-        EXPECT_EQ(report.to_json(), reference);
-        EXPECT_GT(writer.skipped_blocks(), 0u)
-            << "resume should have replayed round 1 into the dedup path";
-        writer.finalize(report, "");
-    }
+    // Resume: the store replays round 1, the remaining rounds run and
+    // ingest, finalize completes.
+    auto options = base_options(2);
+    options.resume = true;
+    EXPECT_EQ(run_with_store(spec, options, store_dir).to_json(), reference);
 
     const auto data = store::load_store(store_dir);
     EXPECT_TRUE(data.complete);
+    EXPECT_EQ(store::dedup_blocks(data).size(), data.blocks.size())
+        << "a replayed round was ingested twice";
     EXPECT_EQ(store::reconstruct_report(data).to_json(), reference);
 }
 

@@ -5,9 +5,11 @@
 // is byte-identical in every mode, at every shard count and jobs level;
 // CI pins that by diffing --shards 0 against --shards 1, 2, 4 and 8.
 //
-// Both modes feed one round observer: --telemetry, --store, --progress and
+// Both modes feed one round observer: --telemetry, --progress and
 // --kill-after-round all hang off the per-round summaries it receives.
-// Flags only the orchestrator honours are refused with --shards 0.
+// --store names the orchestrator's durable log (sharded_options::
+// checkpoint_dir), which run_sharded owns end to end. Flags only the
+// orchestrator honours are refused with --shards 0.
 
 #include <algorithm>
 #include <array>
@@ -18,8 +20,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -29,7 +29,6 @@
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
-#include "store/store.hpp"
 #include "util/cli.hpp"
 #include "vm/dispatch.hpp"
 
@@ -96,24 +95,18 @@ void usage(const char* argv0) {
                  "               no deadline)\n"
                  "  --backoff S  base retry backoff in seconds, doubled per\n"
                  "               failed attempt (default 0.05)\n"
-                 "  --checkpoint DIR  persist validated block partials to a\n"
-                 "               crash-resumable checkpoint in DIR\n"
-                 "  --resume     continue the checkpoint in --checkpoint DIR\n"
-                 "               (spec digest must match); completed work is\n"
+                 "  --store DIR  persist every accepted round (block partials\n"
+                 "               and summary, fsync'd) to a crash-resumable\n"
+                 "               columnar result store in DIR (query with\n"
+                 "               tools_campaign_query; report bytes\n"
+                 "               identical store on or off)\n"
+                 "  --resume     continue the store in --store DIR (spec\n"
+                 "               digest must match); completed rounds are\n"
                  "               replayed, only missing work re-runs, and the\n"
                  "               final report is byte-identical\n"
                  "  --kill-after-round N  test hook: raise(SIGKILL) right\n"
-                 "               after round N is checkpointed — simulates an\n"
+                 "               after round N is stored — simulates an\n"
                  "               orchestrator crash for --resume testing\n"
-                 "  --store DIR  stream every accepted block partial and\n"
-                 "               round summary into a columnar result store\n"
-                 "               in DIR (query with tools_campaign_query;\n"
-                 "               side channel only — report bytes identical\n"
-                 "               store on or off). With --resume, continues\n"
-                 "               an existing store\n"
-                 "  --store-compact N  compact the store's log into column\n"
-                 "               segments every N rounds (default 4; 0 =\n"
-                 "               only at finalize)\n"
                  "  --workers N  network fleet mode: run rounds over a TCP\n"
                  "               coordinator that self-spawns N localhost\n"
                  "               tools_campaign_node daemons. The report is\n"
@@ -133,10 +126,10 @@ void usage(const char* argv0) {
 }
 
 // The flags only dist::run_sharded acts on.
-constexpr std::array<std::string_view, 13> kOrchestratorFlags{
-    "--worker", "--max-attempts", "--timeout", "--backoff", "--checkpoint",
-    "--resume", "--kill-after-round", "--store", "--store-compact",
-    "--workers", "--listen", "--heartbeat", "--register-wait"};
+constexpr std::array<std::string_view, 11> kOrchestratorFlags{
+    "--worker", "--max-attempts", "--timeout", "--backoff", "--resume",
+    "--kill-after-round", "--store", "--workers", "--listen", "--heartbeat",
+    "--register-wait"};
 
 bool write_text(const char* path, const std::string& text) {
     if (!std::strcmp(path, "-")) {
@@ -182,8 +175,6 @@ int main(int argc, char** argv) {
     bool table = false;
     bool progress = false;
     unsigned long long kill_after_round = 0;
-    const char* store_dir = nullptr;
-    unsigned long long store_compact = 4;
     const char* metrics_out_path = nullptr;
     dist::net_options net;
     bool listen = false;
@@ -267,16 +258,12 @@ int main(int argc, char** argv) {
                 options.faults.timeout_seconds = nonnegative("--timeout");
             } else if (!std::strcmp(argv[i], "--backoff")) {
                 options.faults.backoff_base_seconds = nonnegative("--backoff");
-            } else if (!std::strcmp(argv[i], "--checkpoint")) {
-                options.checkpoint_dir = next_value("--checkpoint");
             } else if (!std::strcmp(argv[i], "--resume")) {
                 options.resume = true;
             } else if (!std::strcmp(argv[i], "--kill-after-round")) {
                 kill_after_round = count("--kill-after-round");
             } else if (!std::strcmp(argv[i], "--store")) {
-                store_dir = next_value("--store");
-            } else if (!std::strcmp(argv[i], "--store-compact")) {
-                store_compact = count("--store-compact");
+                options.checkpoint_dir = next_value("--store");
             } else if (!std::strcmp(argv[i], "--metrics-out")) {
                 metrics_out_path = next_value("--metrics-out");
             } else if (!std::strcmp(argv[i], "--workers")) {
@@ -316,11 +303,11 @@ int main(int argc, char** argv) {
         return 2;
     }
     if (options.resume && options.checkpoint_dir.empty()) {
-        std::fprintf(stderr, "--resume needs --checkpoint DIR\n");
+        std::fprintf(stderr, "--resume needs --store DIR\n");
         return 2;
     }
     if (kill_after_round != 0 && options.checkpoint_dir.empty()) {
-        std::fprintf(stderr, "--kill-after-round needs --checkpoint DIR\n");
+        std::fprintf(stderr, "--kill-after-round needs --store DIR\n");
         return 2;
     }
     if (net.fleet_workers != 0 && listen) {
@@ -357,28 +344,14 @@ int main(int argc, char** argv) {
     };
 
     try {
-        std::optional<store::store_writer> result_store;
-        if (store_dir != nullptr) {
-            store::writer_options wopts;
-            wopts.compact_every_rounds = store_compact;
-            result_store.emplace(store::store_writer::open(
-                store_dir, spec, options.resume, wopts));
-            options.block_ingest =
-                [s = &*result_store](
-                    std::uint64_t round,
-                    std::span<const dist::partial_block> blocks) {
-                    s->ingest_blocks(round, blocks);
-                };
-        }
         // The one round observer of both modes. The orchestrator calls it
-        // after the round is checkpointed, and the telemetry line and the
-        // store ingest come before the kill hook — so a --kill-after-round
-        // death leaves exactly N rounds durable on disk, every one of them
-        // recorded. Stdout stays the report's.
+        // after the round is durable in the store, and the telemetry line
+        // comes before the kill hook — so a --kill-after-round death
+        // leaves exactly N rounds on disk, every one of them recorded.
+        // Stdout stays the report's.
         std::uint64_t blocks_done = 0;
         options.round_observer = [&](const obs::round_summary& r) {
             telemetry.append(r);
-            if (result_store.has_value()) result_store->ingest_round(r);
             blocks_done += r.blocks;
             if (progress)
                 std::fprintf(
@@ -407,19 +380,6 @@ int main(int argc, char** argv) {
             options.shards == 0
                 ? run_in_process(spec, options.round_observer, progress)
                 : dist::run_sharded(spec, options);
-        if (result_store.has_value()) {
-            result_store->finalize(report, obs::metrics_json());
-            std::fprintf(
-                stderr,
-                "store %s: %llu block(s) ingested, %llu dup(s) skipped, "
-                "%llu segment(s)\n",
-                store_dir,
-                static_cast<unsigned long long>(
-                    result_store->ingested_blocks()),
-                static_cast<unsigned long long>(result_store->skipped_blocks()),
-                static_cast<unsigned long long>(
-                    result_store->segments_written()));
-        }
         if (table) std::printf("%s\n", report.to_table().c_str());
         if (json_path != nullptr &&
             !write_text(json_path, report.to_json() + "\n"))
