@@ -66,7 +66,7 @@ void image::add_data(data_object obj) {
 }
 
 void image::add_native_import(const std::string& name, vm::native_fn fn) {
-    native_imports_.emplace_back(name, std::move(fn));
+    native_imports_.emplace_back(name, fn);
 }
 
 // ---- linked_function ---------------------------------------------------------
@@ -250,14 +250,14 @@ std::uint64_t image::linked_binary::append_function(const std::string& name,
 void image::linked_binary::bind_native(const std::string& name, vm::native_fn fn) {
     const auto it = symbols.find(name);
     if (it != symbols.end()) {
-        natives[it->second] = std::move(fn);
+        natives[it->second] = fn;
         return;
     }
     // Fresh interposition slot past the PLT.
     const std::uint64_t slot = default_plt_base + plt_bytes;
     plt_bytes += plt_entry_bytes;
     symbols[name] = slot;
-    natives[slot] = std::move(fn);
+    natives[slot] = fn;
 }
 
 std::shared_ptr<const vm::program> image::linked_binary::make_program() const {
@@ -266,6 +266,11 @@ std::shared_ptr<const vm::program> image::linked_binary::make_program() const {
     prog->text_size = text_end - text_base;
     prog->symbols = symbols;
     prog->natives = natives;
+    std::size_t count = 0;
+    for (const auto& fn : functions) count += fn.insns.size();
+    prog->insns.reserve(count);
+    prog->addrs.reserve(count);
+    prog->addr_to_index.reserve(count);
     for (const auto& fn : functions) {
         for (std::size_t i = 0; i < fn.insns.size(); ++i) {
             const auto index = static_cast<std::uint32_t>(prog->insns.size());

@@ -97,7 +97,8 @@ class image {
     [[nodiscard]] const std::vector<data_object>& data() const noexcept { return data_; }
 
     // Declares a host-native import (e.g. AES_ENCRYPT_128, or glibc string
-    // functions in dynamic mode).
+    // functions in dynamic mode). `fn` is a plain noexcept function that
+    // returns a trap status instead of throwing (vm::native_fn).
     void add_native_import(const std::string& name, vm::native_fn fn);
 
     struct linked_binary;

@@ -1,5 +1,8 @@
 #include "binfmt/stdlib.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "crypto/aes128.hpp"
 #include "crypto/one_way.hpp"
 #include "vm/machine.hpp"
@@ -12,66 +15,126 @@ using vm::xreg;
 
 namespace native {
 
-void stack_chk_fail_abort(vm::machine&) {
-    throw vm::native_trap{vm::trap_kind::stack_smash};
+namespace {
+
+constexpr vm::native_status segfault_at(std::uint64_t addr) noexcept {
+    return {vm::trap_kind::segfault, addr};
 }
 
-void aes_encrypt_128(vm::machine& m) {
+// Copies `len` bytes forward from `src` to `dst`, a region run at a time.
+// The byte order of loads and stores is that of a one-byte-at-a-time loop,
+// so an overlapping copy smears exactly as that loop does, and only the
+// bytes written are marked dirty. Faults at the first unmapped byte; when
+// src + i and dst + i are both unmapped it names the load, because the
+// byte loop loads before it stores.
+vm::native_status copy_forward(vm::memory& mem, std::uint64_t dst, std::uint64_t src,
+                               std::uint64_t len) noexcept {
+    for (std::uint64_t i = 0; i < len;) {
+        const std::uint64_t from = mem.avail(src + i);
+        if (from == 0) return segfault_at(src + i);
+        const std::uint64_t to = mem.avail(dst + i);
+        if (to == 0) return segfault_at(dst + i);
+        const std::uint64_t n = std::min({len - i, from, to});
+        const std::uint8_t* s = mem.try_at(src + i, n);
+        std::uint8_t* d = mem.try_at_mut(dst + i, n);
+        for (std::uint64_t k = 0; k < n; ++k) d[k] = s[k];
+        i += n;
+    }
+    return {};
+}
+
+// Index of the first zero byte in [addr, addr + limit), or where the scan
+// stopped: at `limit`, or at the first unmapped byte.
+std::uint64_t find_zero(const vm::memory& mem, std::uint64_t addr,
+                        std::uint64_t limit) noexcept {
+    std::uint64_t i = 0;
+    while (i < limit) {
+        const std::uint64_t n = std::min(limit - i, mem.avail(addr + i));
+        if (n == 0) break;
+        const std::uint8_t* p = mem.try_at(addr + i, n);
+        if (const void* zero = std::memchr(p, 0, n))
+            return i + static_cast<std::uint64_t>(static_cast<const std::uint8_t*>(zero) - p);
+        i += n;
+    }
+    return i;
+}
+
+}  // namespace
+
+vm::native_status stack_chk_fail_abort(vm::machine& m) noexcept {
+    return {vm::trap_kind::stack_smash, m.current_address()};
+}
+
+vm::native_status aes_encrypt_128(vm::machine& m) noexcept {
     const auto key = m.get_x(xreg::xmm1);
     const auto block = m.get_x(xreg::xmm15);
     const crypto::aes128 cipher{key.lo, key.hi};
     const auto ct = cipher.encrypt({block.lo, block.hi});
     m.set_x(xreg::xmm15, {ct.lo, ct.hi});
     m.charge(m.costs().aes_helper);
+    return {};
 }
 
-void sha1_owf_128(vm::machine& m) {
+vm::native_status sha1_owf_128(vm::machine& m) noexcept {
     const auto key = m.get_x(xreg::xmm1);
     const auto block = m.get_x(xreg::xmm15);  // lo = nonce, hi = ret
-    const auto owf = crypto::make_owf(crypto::owf_kind::sha1);
-    const auto out = owf->evaluate128(key.lo, key.hi, block.hi, block.lo);
+    const auto out = crypto::sha1_owf128(key.lo, key.hi, block.hi, block.lo);
     m.set_x(xreg::xmm15, {out.lo, out.hi});
     m.charge(690);  // software SHA-1 compression; no hardware assist
+    return {};
 }
 
-void strcpy_impl(vm::machine& m) {
+vm::native_status strcpy_impl(vm::machine& m) noexcept {
     const std::uint64_t dst = m.get(reg::rdi);
     const std::uint64_t src = m.get(reg::rsi);
-    std::uint64_t i = 0;
-    for (;;) {
-        const std::uint8_t byte = m.mem().load8(src + i);
-        m.mem().store8(dst + i, byte);
-        ++i;
-        if (byte == 0) break;
-    }
+    // Copying forward, the loop reads its own output once src + i reaches
+    // dst. So when dst lies above src, only the dst - src bytes before dst
+    // are read as the caller left them, and without a terminator among
+    // them the copy smears on until it faults.
+    constexpr std::uint64_t unbounded = ~std::uint64_t{0};
+    const std::uint64_t limit = dst > src ? dst - src : unbounded;
+    const std::uint64_t stop = find_zero(m.mem(), src, limit);
+    const std::uint64_t len = stop == limit ? unbounded : stop + 1;
+    if (const auto st = copy_forward(m.mem(), dst, src, len); st.trap != vm::trap_kind::none)
+        return st;
     m.set(reg::rax, dst);
-    m.charge(2 * i + 4);
+    m.charge(2 * len + 4);
+    return {};
 }
 
-void memcpy_impl(vm::machine& m) {
+vm::native_status memcpy_impl(vm::machine& m) noexcept {
     const std::uint64_t dst = m.get(reg::rdi);
     const std::uint64_t src = m.get(reg::rsi);
     const std::uint64_t len = m.get(reg::rdx);
-    for (std::uint64_t i = 0; i < len; ++i) m.mem().store8(dst + i, m.mem().load8(src + i));
+    if (const auto st = copy_forward(m.mem(), dst, src, len); st.trap != vm::trap_kind::none)
+        return st;
     m.set(reg::rax, dst);
     m.charge(2 * len + 4);
+    return {};
 }
 
-void memset_impl(vm::machine& m) {
+vm::native_status memset_impl(vm::machine& m) noexcept {
     const std::uint64_t dst = m.get(reg::rdi);
     const auto value = static_cast<std::uint8_t>(m.get(reg::rsi));
     const std::uint64_t len = m.get(reg::rdx);
-    for (std::uint64_t i = 0; i < len; ++i) m.mem().store8(dst + i, value);
+    for (std::uint64_t i = 0; i < len;) {
+        const std::uint64_t n = std::min(len - i, m.mem().avail(dst + i));
+        if (n == 0) return segfault_at(dst + i);
+        std::memset(m.mem().try_at_mut(dst + i, n), value, n);
+        i += n;
+    }
     m.set(reg::rax, dst);
     m.charge(len + 4);
+    return {};
 }
 
-void strlen_impl(vm::machine& m) {
+vm::native_status strlen_impl(vm::machine& m) noexcept {
     const std::uint64_t s = m.get(reg::rdi);
-    std::uint64_t n = 0;
-    while (m.mem().load8(s + n) != 0) ++n;
+    const std::uint64_t n = find_zero(m.mem(), s, ~std::uint64_t{0});
+    if (m.mem().avail(s + n) == 0) return segfault_at(s + n);
     m.set(reg::rax, n);
     m.charge(n + 4);
+    return {};
 }
 
 }  // namespace native

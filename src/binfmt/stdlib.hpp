@@ -39,22 +39,26 @@ inline constexpr const char* sym_strlen = "strlen";
 // default behavior when composing its interposed versions.
 namespace native {
 
-// Default glibc behavior: a called __stack_chk_fail unconditionally aborts.
-void stack_chk_fail_abort(vm::machine& m);
+// Default glibc behavior: a called __stack_chk_fail unconditionally aborts
+// (a stack_smash trap at the call site).
+vm::native_status stack_chk_fail_abort(vm::machine& m) noexcept;
 
 // AES-NI analog: xmm15 <- AES-128-Encrypt(key = xmm1, block = xmm15).
-void aes_encrypt_128(vm::machine& m);
+vm::native_status aes_encrypt_128(vm::machine& m) noexcept;
 
 // The SHA-1 instantiation of F for the OWF ablation: same register
 // contract as aes_encrypt_128 but costed as *software* hashing — there is
 // no SHA hardware in the modeled CPU, making the paper's "prohibitively
 // expensive without hardware support" remark measurable.
-void sha1_owf_128(vm::machine& m);
+vm::native_status sha1_owf_128(vm::machine& m) noexcept;
 
-void strcpy_impl(vm::machine& m);
-void memcpy_impl(vm::machine& m);
-void memset_impl(vm::machine& m);
-void strlen_impl(vm::machine& m);
+// glibc string routines. Each moves whole runs of bytes but behaves like a
+// one-byte-at-a-time loop: same bytes written, same pages dirtied, and a
+// segfault at the first unmapped byte, before any cycle charge or rax write.
+vm::native_status strcpy_impl(vm::machine& m) noexcept;
+vm::native_status memcpy_impl(vm::machine& m) noexcept;
+vm::native_status memset_impl(vm::machine& m) noexcept;
+vm::native_status strlen_impl(vm::machine& m) noexcept;
 
 }  // namespace native
 

@@ -40,17 +40,7 @@ class sha1_owf final : public one_way_function {
 
     output128 evaluate128(std::uint64_t key_lo, std::uint64_t key_hi, std::uint64_t ret,
                           std::uint64_t nonce) const override {
-        // Keyed-hash form: H(key || nonce || ret). A secret-prefix MAC's
-        // extension weakness does not apply — the attacker never controls a
-        // suffix of the hashed message, and the output is truncated.
-        std::array<std::uint8_t, 32> msg{};
-        util::store_le64(std::span{msg}.subspan(0, 8), key_lo);
-        util::store_le64(std::span{msg}.subspan(8, 8), key_hi);
-        util::store_le64(std::span{msg}.subspan(16, 8), nonce);
-        util::store_le64(std::span{msg}.subspan(24, 8), ret);
-        const auto digest = sha1::digest(msg);
-        return {util::load_le64(std::span{digest}.subspan(0, 8)),
-                util::load_le64(std::span{digest}.subspan(8, 8))};
+        return sha1_owf128(key_lo, key_hi, ret, nonce);
     }
 
     owf_kind kind() const noexcept override { return owf_kind::sha1; }
@@ -58,6 +48,21 @@ class sha1_owf final : public one_way_function {
 };
 
 }  // namespace
+
+one_way_function::output128 sha1_owf128(std::uint64_t key_lo, std::uint64_t key_hi,
+                                        std::uint64_t ret, std::uint64_t nonce) noexcept {
+    // Keyed-hash form: H(key || nonce || ret). A secret-prefix MAC's
+    // extension weakness does not apply — the attacker never controls a
+    // suffix of the hashed message, and the output is truncated.
+    std::array<std::uint8_t, 32> msg{};
+    util::store_le64(std::span{msg}.subspan(0, 8), key_lo);
+    util::store_le64(std::span{msg}.subspan(8, 8), key_hi);
+    util::store_le64(std::span{msg}.subspan(16, 8), nonce);
+    util::store_le64(std::span{msg}.subspan(24, 8), ret);
+    const auto digest = sha1::digest(msg);
+    return {util::load_le64(std::span{digest}.subspan(0, 8)),
+            util::load_le64(std::span{digest}.subspan(8, 8))};
+}
 
 std::unique_ptr<one_way_function> make_owf(owf_kind kind) {
     switch (kind) {

@@ -53,4 +53,11 @@ class one_way_function {
 // Factory for the chosen instantiation.
 [[nodiscard]] std::unique_ptr<one_way_function> make_owf(owf_kind kind);
 
+// The SHA-1 instantiation's evaluate128 as a plain function, for callers
+// that must not allocate (the SHA1_OWF_128 native helper).
+[[nodiscard]] one_way_function::output128 sha1_owf128(std::uint64_t key_lo,
+                                                      std::uint64_t key_hi,
+                                                      std::uint64_t ret,
+                                                      std::uint64_t nonce) noexcept;
+
 }  // namespace pssp::crypto

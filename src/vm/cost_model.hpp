@@ -52,7 +52,7 @@ struct cost_model {
     std::uint64_t dbi_tax = 0;
 
     // Cycle cost of one instruction (excluding native-helper bodies, which
-    // charge via machine::charge_native).
+    // charge via machine::charge).
     [[nodiscard]] std::uint64_t cost_of(const instruction& insn) const noexcept;
 
     // Snapshot of the current parameters as a flat per-opcode table. The

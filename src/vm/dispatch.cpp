@@ -55,7 +55,7 @@ const char* handler_name(std::uint16_t handler) noexcept {
 }
 
 decoded_op lower_op(const instruction& insn, std::uint32_t flow_target,
-                    std::uint64_t return_addr, const native_fn* native) {
+                    std::uint64_t return_addr, native_fn native) {
     decoded_op op;
     op.handler = static_cast<std::uint16_t>(insn.op);
     op.op = insn.op;

@@ -26,7 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -36,9 +35,30 @@ namespace pssp::vm {
 
 class machine;  // forward; native helpers receive the executing machine
 
+enum class trap_kind : std::uint8_t {
+    none,
+    stack_smash,    // __stack_chk_fail -> __GI__fortify_fail analog
+    segfault,       // unmapped or mis-sized memory access
+    invalid_jump,   // control transferred to a non-instruction address
+    stack_overrun,  // rsp left the stack region
+};
+
+// How the simulated process goes on after a native helper: `{}` returns to
+// the caller; any other trap ends the run as `trapped` with this fault
+// address, exactly as an interpreter-level fault would.
+struct native_status {
+    trap_kind trap = trap_kind::none;
+    std::uint64_t fault_addr = 0;
+};
+
 // Host-implemented helper bound to a text address (PLT analog). Invoked by
 // `call`; arguments/results pass through the machine's registers per SysV.
-using native_fn = std::function<void(machine&)>;
+// A plain noexcept function: helpers report crashes by returning a trap
+// status (a smashed stack, or the first unmapped byte of a string copy),
+// so no exception ever crosses the native-call edge, and a helper that
+// touches memory must use the memory's non-throwing accessors. A helper
+// that traps charges no cycles and leaves its result registers untouched.
+using native_fn = native_status (*)(machine&) noexcept;
 
 // ---- Dispatch-mode selection ----------------------------------------------
 // Purely an execution-speed knob, like campaign jobs counts and master
@@ -156,13 +176,13 @@ struct decoded_op {
     std::uint32_t target = no_id;   // pre-resolved jmp/jcc/call target index
     std::uint64_t imm = 0;
     std::uint64_t return_addr = 0;  // call: address of the next instruction
-    const native_fn* native = nullptr;  // call: bound native helper
+    native_fn native = nullptr;     // call: bound native helper
 };
 
 // 1:1 lowering of one instruction plus its pre-resolved flow fields into a
 // decoded op. Fusion and the sentinel are program::finalize()'s job.
 [[nodiscard]] decoded_op lower_op(const instruction& insn, std::uint32_t flow_target,
-                                  std::uint64_t return_addr, const native_fn* native);
+                                  std::uint64_t return_addr, native_fn native);
 
 // The trapping end-of-stream record (hop::sentinel).
 [[nodiscard]] decoded_op sentinel_op() noexcept;

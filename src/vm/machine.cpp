@@ -345,21 +345,12 @@ run_result machine::exec_one_switch(const cost_table& ct) {
             if (fl.native != nullptr) {
                 // Native helper: model the full call/ret round trip so the
                 // helper can observe a genuine frame (return address on the
-                // stack) while executing host-side. This is the only edge
-                // where exceptions still travel — helpers are arbitrary
-                // host code using the throwing memory API and native_trap.
+                // stack) while executing host-side.
                 if (!push64(fl.return_addr, out)) return out;
-                try {
-                    (*fl.native)(*this);
-                } catch (const mem_fault& fault) {
+                if (const native_status ns = fl.native(*this); ns.trap != trap_kind::none) {
                     out.status = exec_status::trapped;
-                    out.trap = trap_kind::segfault;
-                    out.fault_addr = fault.addr();
-                    return out;
-                } catch (const native_trap& trap) {
-                    out.status = exec_status::trapped;
-                    out.trap = trap.kind;
-                    out.fault_addr = current_address();
+                    out.trap = ns.trap;
+                    out.fault_addr = ns.fault_addr;
                     return out;
                 }
                 std::uint64_t back;
@@ -992,17 +983,10 @@ dispatch_top:
             cycles_ += cyc;
             cyc = 0;
             rip_ = ip;
-            try {
-                (*op->native)(*this);
-            } catch (const mem_fault& fault) {
+            if (const native_status ns = op->native(*this); ns.trap != trap_kind::none) {
                 out.status = exec_status::trapped;
-                out.trap = trap_kind::segfault;
-                out.fault_addr = fault.addr();
-                goto stop_terminal;
-            } catch (const native_trap& trap) {
-                out.status = exec_status::trapped;
-                out.trap = trap.kind;
-                out.fault_addr = current_address();
+                out.trap = ns.trap;
+                out.fault_addr = ns.fault_addr;
                 goto stop_terminal;
             }
             std::uint64_t back;

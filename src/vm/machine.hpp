@@ -22,9 +22,12 @@
 //     baseline of the dispatch A/B benchmark.
 // Both are exception- and hash-free: jump/call targets come pre-resolved
 // from program::finalize(), cycle costs from a flat per-opcode table, and
-// memory faults surface as trap statuses. The only exceptions on the run
-// path originate inside native helpers and are caught at the native-call
-// edge. Everything outcome-relevant — registers, flags, memory, output,
+// memory faults surface as trap statuses. Native helpers are noexcept and
+// return their outcome as a native_status (vm/dispatch.hpp) — a smashed
+// stack in __stack_chk_fail or a string copy running off its region is a
+// returned trap, the analog of glibc's __GI__fortify_fail abort — so no
+// exception travels on the run path and neither engine has a try/catch.
+// Everything outcome-relevant — registers, flags, memory, output,
 // cycles_, steps_, rip, trap/fault state — is identical across engines at
 // every event boundary; campaign reports are byte-identical across
 // dispatch modes.
@@ -51,14 +54,6 @@ enum class exec_status : std::uint8_t {
     out_of_fuel,  // exceeded the cumulative fuel cap (runaway loop guard)
 };
 
-enum class trap_kind : std::uint8_t {
-    none,
-    stack_smash,    // __stack_chk_fail -> __GI__fortify_fail analog
-    segfault,       // unmapped or mis-sized memory access
-    invalid_jump,   // control transferred to a non-instruction address
-    stack_overrun,  // rsp left the stack region
-};
-
 [[nodiscard]] std::string to_string(exec_status status);
 [[nodiscard]] std::string to_string(trap_kind trap);
 
@@ -68,15 +63,6 @@ struct run_result {
     std::int64_t exit_code = 0;       // valid when exited
     std::uint32_t syscall_number = 0; // valid when syscalled
     std::uint64_t fault_addr = 0;     // valid for segfault/invalid_jump
-};
-
-// Thrown by native helpers to terminate the simulated process — the host
-// analog of glibc's __GI__fortify_fail aborting on a smashed stack. The
-// interpreter converts it into a trapped run_result. Exceptions exist only
-// on the native-call edge: interpreter-level memory faults travel as
-// status returns, so the step loop runs without a try/catch.
-struct native_trap {
-    trap_kind kind = trap_kind::stack_smash;
 };
 
 // Cap on accumulated sys_write output. A hijacked or runaway worker under

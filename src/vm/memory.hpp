@@ -14,10 +14,10 @@
 // Storage is one contiguous buffer with the regions laid out back to back
 // at page-aligned offsets; address resolution walks a three-entry flat
 // descriptor array (stack first — it is by far the hottest region). The
-// interpreter uses the noexcept try_* accessors and turns a null result
-// into a segfault trap without unwinding; the throwing accessors remain
-// for native helpers, the attack harness, and tests, and raise mem_fault
-// exactly as before.
+// interpreter and the native helpers use the noexcept accessors (try_*,
+// avail) and turn an unmapped byte into a segfault trap without
+// unwinding; the throwing accessors remain for code outside the run loop
+// (scheme runtime hooks, the attack harness, tests) and raise mem_fault.
 //
 // Every store also marks the touched 4 KiB page dirty on two independent
 // channels, which is what makes process snapshot/restore and fork cheap:
@@ -124,7 +124,7 @@ class memory {
     void read_bytes(std::uint64_t addr, std::span<std::uint8_t> out) const;
     void write_bytes(std::uint64_t addr, std::span<const std::uint8_t> data);
 
-    // ---- Exception-free fast path (the interpreter's accessors) ----
+    // ---- Exception-free fast path (the interpreter and native helpers) ----
     // Pointer to [addr, addr+size) if mapped within one region, else null.
     [[nodiscard]] const std::uint8_t* try_at(std::uint64_t addr,
                                              std::size_t size) const noexcept {
@@ -133,6 +133,17 @@ class memory {
             if (off < d.size && size <= d.size - off) return buf_.data() + d.off + off;
         }
         return nullptr;
+    }
+
+    // Bytes from `addr` to the end of its region; 0 if `addr` is unmapped.
+    // Lets a native helper move a whole run through try_at/try_at_mut and
+    // stop at exactly the first unmapped byte.
+    [[nodiscard]] std::uint64_t avail(std::uint64_t addr) const noexcept {
+        for (const auto& d : desc_) {
+            const std::uint64_t off = addr - d.base;
+            if (off < d.size) return d.size - off;
+        }
+        return 0;
     }
 
     // Mutable variant; marks the touched pages dirty on both channels.

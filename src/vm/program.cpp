@@ -19,11 +19,10 @@ void program::finalize() {
                 break;
             case opcode::call: {
                 // Natives win over code: a call into the PLT region never
-                // has an instruction at its target. Pointers into `natives`
-                // stay valid because the program is immutable once loaded.
+                // has an instruction at its target.
                 const auto it = natives.find(insn.imm);
                 if (it != natives.end())
-                    flow[i].native = &it->second;
+                    flow[i].native = it->second;
                 else
                     flow[i].target = index_of(insn.imm);
                 flow[i].return_addr = addrs[i] + encoded_length(insn);

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,7 +27,7 @@ namespace pssp::vm {
 struct resolved_flow {
     std::uint32_t target = no_id;       // jmp/jcc/call: target instruction index
     std::uint64_t return_addr = 0;      // call: address of the next instruction
-    const native_fn* native = nullptr;  // call: bound native helper, if any
+    native_fn native = nullptr;         // call: bound native helper, if any
 };
 
 struct program {

@@ -70,15 +70,19 @@ TEST(image, unbound_label_fails_link) {
                  std::runtime_error);
 }
 
+// A native helper is a plain function, so it records its calls through the
+// machine it runs on: a counter in the first globals byte.
+vm::native_status counting_helper(vm::machine& m) noexcept {
+    ++*m.mem().try_at_mut(vm::default_globals_base, 1);
+    m.set(reg::rax, 7);
+    return {};
+}
+
 TEST(image, native_imports_get_plt_slots) {
     binfmt::image img;
     auto& f = img.add_function("f");
     f.emit({call_sym(img.sym("helper")), ret()});
-    bool called = false;
-    img.add_native_import("helper", [&called](vm::machine& m) {
-        called = true;
-        m.set(reg::rax, 7);
-    });
+    img.add_native_import("helper", counting_helper);
     const auto binary = img.link(binfmt::link_mode::dynamic_glibc);
     EXPECT_EQ(binary.plt_bytes, binfmt::plt_entry_bytes);
     EXPECT_TRUE(binary.natives.contains(binary.symbols.at("helper")));
@@ -86,14 +90,17 @@ TEST(image, native_imports_get_plt_slots) {
     vm::machine m{binary.make_program(), vm::memory::layout{}, 1};
     m.call_function(binary.symbols.at("f"));
     EXPECT_EQ(m.run().exit_code, 7);
-    EXPECT_TRUE(called);
+    EXPECT_EQ(m.mem().load8(vm::default_globals_base), 1u);
 }
 
 TEST(image, image_function_overrides_native_import) {
     binfmt::image img;
     auto& strong = img.add_function("helper");
     strong.emit({mov_ri(reg::rax, 1), ret()});
-    img.add_native_import("helper", [](vm::machine& m) { m.set(reg::rax, 2); });
+    img.add_native_import("helper", [](vm::machine& m) noexcept -> vm::native_status {
+        m.set(reg::rax, 2);
+        return {};
+    });
     const auto binary = img.link(binfmt::link_mode::dynamic_glibc);
     EXPECT_EQ(binary.symbols.at("helper"), binfmt::default_text_base);
     EXPECT_EQ(binary.plt_bytes, 0u);
@@ -185,7 +192,10 @@ TEST(linked_binary, bind_native_interposes_on_existing_symbol) {
     auto binary = img.link(binfmt::link_mode::dynamic_glibc);
 
     // LD_PRELOAD analog: the native now shadows the VM implementation.
-    binary.bind_native("helper", [](vm::machine& m) { m.set(reg::rax, 99); });
+    binary.bind_native("helper", [](vm::machine& m) noexcept -> vm::native_status {
+        m.set(reg::rax, 99);
+        return {};
+    });
     vm::machine m{binary.make_program(), vm::memory::layout{}, 1};
     m.call_function(binary.symbols.at("f"));
     EXPECT_EQ(m.run().exit_code, 99);
