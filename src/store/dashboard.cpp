@@ -87,7 +87,6 @@ std::string payload_json(const store_data& data) {
     util::append_kv(out, "cells", static_cast<std::uint64_t>(cells.size()));
     util::append_kv(out, "rounds",
                     static_cast<std::uint64_t>(data.rounds.size()));
-    util::append_kv(out, "repaired_segments", data.repaired_segments);
     util::append_kv_bool(out, "dropped_torn_tail", data.dropped_torn_tail,
                          /*comma=*/false);
     out += "},\"cells\":[";
@@ -299,10 +298,7 @@ const seriesColor = i => `var(--series-${(i % 8) + 1})`;
       m.complete ? "✓ complete" : "○ running"));
   status.appendChild(chip);
   const health = el("div", { class: "k" },
-    m.repaired_segments > 0 || m.dropped_torn_tail
-      ? `repaired ${m.repaired_segments} segment(s)` +
-        (m.dropped_torn_tail ? ", dropped torn tail" : "")
-      : "store intact");
+    m.dropped_torn_tail ? "dropped torn tail" : "store intact");
   status.appendChild(health);
   tiles.appendChild(status);
 }

@@ -1,6 +1,5 @@
 #include "store/format.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
@@ -19,12 +18,6 @@ constexpr std::size_t line_suffix_size = fnv_prefix.size() + fnv_hex_digits + 2;
 
 [[noreturn]] void fail(const std::string& what) {
     throw std::runtime_error{"store: " + what};
-}
-
-void append_hexdouble(std::string& out, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "\"%a\"", value);
-    out += buf;
 }
 
 const char* kind_name(entry_kind kind) {
@@ -219,25 +212,9 @@ std::string encode_manifest(const manifest& m) {
     std::string out = "{\"store\":{";
     util::append_kv(out, "version", static_cast<std::uint64_t>(m.version));
     util::append_kv(out, "spec_digest", m.spec_digest);
-    util::append_kv(out, "compacted_seq", m.compacted_seq);
-    util::append_kv_bool(out, "complete", m.complete);
     out += "\"spec\":";
     dist::append_spec_object(out, m.spec);
-    out += ",\"segments\":[";
-    for (std::size_t i = 0; i < m.segments.size(); ++i) {
-        const auto& s = m.segments[i];
-        if (i > 0) out += ',';
-        out += '{';
-        util::append_kv(out, "file", s.file);
-        util::append_kv(out, "first_seq", s.first_seq);
-        util::append_kv(out, "last_seq", s.last_seq);
-        util::append_kv(out, "block_rows", s.block_rows);
-        util::append_kv(out, "round_rows", s.round_rows);
-        out += "\"fnv\":\"";
-        util::append_hex16(out, s.fnv);
-        out += "\"}";
-    }
-    out += "]}}\n";
+    out += "}}\n";
     return out;
 }
 
@@ -252,356 +229,11 @@ manifest decode_manifest(const std::string& path, std::string_view text) {
                                      std::to_string(m.version) + " != " +
                                      std::to_string(store_format_version)};
         m.spec_digest = s.at("spec_digest").as_u64();
-        m.compacted_seq = s.at("compacted_seq").as_u64();
-        m.complete = s.at("complete").as_bool();
         m.spec = dist::spec_from_object(s.at("spec"));
-        for (const auto& e : s.at("segments").elements()) {
-            segment_info info;
-            info.file = e.at("file").as_string();
-            info.first_seq = e.at("first_seq").as_u64();
-            info.last_seq = e.at("last_seq").as_u64();
-            info.block_rows = e.at("block_rows").as_u64();
-            info.round_rows = e.at("round_rows").as_u64();
-            if (!util::parse_hex16(e.at("fnv").as_string(), info.fnv))
-                throw std::runtime_error{"bad segment fnv"};
-            m.segments.push_back(std::move(info));
-        }
     } catch (const std::exception& e) {
         fail(path + " is unreadable: " + e.what());
     }
     return m;
-}
-
-namespace {
-
-// ---- column emit helpers ----
-
-template <class Row, class Get>
-void append_u64_column(std::string& out, const char* key,
-                       std::span<const Row> rows, Get get, bool comma = true) {
-    out += '"';
-    out += key;
-    out += "\":[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (i > 0) out += ',';
-        out += std::to_string(static_cast<std::uint64_t>(get(rows[i])));
-    }
-    out += ']';
-    if (comma) out += ',';
-}
-
-template <class Row, class Get>
-void append_hex_column(std::string& out, const char* key,
-                       std::span<const Row> rows, Get get, bool comma = true) {
-    out += '"';
-    out += key;
-    out += "\":[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (i > 0) out += ',';
-        append_hexdouble(out, get(rows[i]));
-    }
-    out += ']';
-    if (comma) out += ',';
-}
-
-template <class Row, class Get>
-void append_string_column(std::string& out, const char* key,
-                          std::span<const Row> rows, Get get,
-                          bool comma = true) {
-    out += '"';
-    out += key;
-    out += "\":[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (i > 0) out += ',';
-        out += '"';
-        out += util::json_escape(get(rows[i]));
-        out += '"';
-    }
-    out += ']';
-    if (comma) out += ',';
-}
-
-// A Welford accumulator column group: six parallel arrays of its raw
-// recurrence state, n as integers, the doubles hexfloat-exact.
-template <class Get>
-void append_welford_columns(std::string& out, const char* key,
-                            std::span<const block_row> rows, Get get,
-                            bool comma = true) {
-    out += '"';
-    out += key;
-    out += "\":{";
-    append_u64_column(out, "n", rows,
-                      [&get](const block_row& r) { return get(r).save().n; });
-    append_hex_column(out, "mean", rows,
-                      [&get](const block_row& r) { return get(r).save().mean; });
-    append_hex_column(out, "m2", rows,
-                      [&get](const block_row& r) { return get(r).save().m2; });
-    append_hex_column(out, "min", rows,
-                      [&get](const block_row& r) { return get(r).save().min; });
-    append_hex_column(out, "max", rows,
-                      [&get](const block_row& r) { return get(r).save().max; });
-    append_hex_column(
-        out, "total", rows,
-        [&get](const block_row& r) { return get(r).save().total; },
-        /*comma=*/false);
-    out += '}';
-    if (comma) out += ',';
-}
-
-// ---- column parse helpers ----
-
-std::vector<std::uint64_t> u64_column(const util::json_value& table,
-                                      const char* key, std::size_t expect) {
-    std::vector<std::uint64_t> out;
-    for (const auto& e : table.at(key).elements()) out.push_back(e.as_u64());
-    if (out.size() != expect)
-        throw std::runtime_error{std::string{"column \""} + key +
-                                 "\" length mismatch"};
-    return out;
-}
-
-std::vector<double> hex_column(const util::json_value& table, const char* key,
-                               std::size_t expect) {
-    std::vector<double> out;
-    for (const auto& e : table.at(key).elements())
-        out.push_back(e.as_double_exact());
-    if (out.size() != expect)
-        throw std::runtime_error{std::string{"column \""} + key +
-                                 "\" length mismatch"};
-    return out;
-}
-
-util::welford_accumulator welford_at(const util::json_value& group,
-                                     std::size_t i) {
-    util::welford_accumulator::state s;
-    s.n = group.at("n").elements().at(i).as_u64();
-    s.mean = group.at("mean").elements().at(i).as_double_exact();
-    s.m2 = group.at("m2").elements().at(i).as_double_exact();
-    s.min = group.at("min").elements().at(i).as_double_exact();
-    s.max = group.at("max").elements().at(i).as_double_exact();
-    s.total = group.at("total").elements().at(i).as_double_exact();
-    return util::welford_accumulator::restore(s);
-}
-
-}  // namespace
-
-std::string encode_segment(std::span<const block_row> blocks,
-                           std::span<const round_row> rounds) {
-    std::string out;
-    out.reserve(256 + blocks.size() * 512 + rounds.size() * 256);
-    out += "{\"segment\":{";
-    util::append_kv(out, "version",
-                    static_cast<std::uint64_t>(store_format_version));
-    util::append_kv(out, "block_rows", blocks.size());
-    util::append_kv(out, "round_rows", rounds.size());
-
-    out += "\"blocks\":{";
-    append_u64_column(out, "seq", blocks,
-                      [](const block_row& r) { return r.seq; });
-    append_u64_column(out, "round", blocks,
-                      [](const block_row& r) { return r.round; });
-    append_u64_column(out, "index", blocks,
-                      [](const block_row& r) { return r.block.index; });
-    append_u64_column(out, "cell", blocks,
-                      [](const block_row& r) { return r.block.cell; });
-    append_u64_column(out, "trials", blocks,
-                      [](const block_row& r) { return r.block.partial.trials; });
-    append_u64_column(out, "hijacks", blocks, [](const block_row& r) {
-        return r.block.partial.hijacks;
-    });
-    append_u64_column(out, "detections", blocks, [](const block_row& r) {
-        return r.block.partial.detections;
-    });
-    append_u64_column(out, "canary_detections", blocks, [](const block_row& r) {
-        return r.block.partial.canary_detections;
-    });
-    append_u64_column(out, "other_crashes", blocks, [](const block_row& r) {
-        return r.block.partial.other_crashes;
-    });
-    append_welford_columns(
-        out, "queries", blocks,
-        [](const block_row& r) -> const util::welford_accumulator& {
-            return r.block.partial.queries;
-        });
-    append_welford_columns(
-        out, "queries_to_compromise", blocks,
-        [](const block_row& r) -> const util::welford_accumulator& {
-            return r.block.partial.queries_to_compromise;
-        });
-    append_welford_columns(
-        out, "leaked_bytes_valid", blocks,
-        [](const block_row& r) -> const util::welford_accumulator& {
-            return r.block.partial.leaked_bytes_valid;
-        },
-        /*comma=*/false);
-    out += "},";
-
-    out += "\"rounds\":{";
-    append_u64_column(out, "seq", rounds,
-                      [](const round_row& r) { return r.seq; });
-    append_u64_column(out, "round", rounds,
-                      [](const round_row& r) { return r.summary.round; });
-    append_u64_column(out, "blocks", rounds,
-                      [](const round_row& r) { return r.summary.blocks; });
-    append_u64_column(out, "trials", rounds,
-                      [](const round_row& r) { return r.summary.trials; });
-    append_u64_column(out, "cumulative_trials", rounds, [](const round_row& r) {
-        return r.summary.cumulative_trials;
-    });
-    append_hex_column(out, "max_halfwidth", rounds, [](const round_row& r) {
-        return r.summary.max_halfwidth;
-    });
-    append_string_column(
-        out, "widest_cell", rounds,
-        [](const round_row& r) -> const std::string& {
-            return r.summary.widest_cell;
-        });
-    append_hex_column(out, "wall_seconds", rounds, [](const round_row& r) {
-        return r.summary.wall_seconds;
-    });
-    append_u64_column(out, "retries", rounds,
-                      [](const round_row& r) { return r.summary.retries; });
-    append_u64_column(out, "requeued_blocks", rounds, [](const round_row& r) {
-        return r.summary.requeued_blocks;
-    });
-    append_u64_column(out, "timeouts", rounds,
-                      [](const round_row& r) { return r.summary.timeouts; });
-    append_u64_column(out, "resumed", rounds, [](const round_row& r) {
-        return r.summary.resumed ? 1u : 0u;
-    });
-    // Shard rusage rows flattened into parallel columns; "row" points each
-    // shard sample back at its round row.
-    struct shard_sample {
-        std::uint64_t row;
-        obs::shard_time time;
-    };
-    std::vector<shard_sample> samples;
-    for (std::size_t i = 0; i < rounds.size(); ++i)
-        for (const auto& t : rounds[i].summary.shards)
-            samples.push_back(shard_sample{i, t});
-    const std::span<const shard_sample> sample_span{samples};
-    out += "\"shards\":{";
-    append_u64_column(out, "row", sample_span,
-                      [](const shard_sample& s) { return s.row; });
-    append_u64_column(out, "shard", sample_span,
-                      [](const shard_sample& s) { return s.time.shard; });
-    append_hex_column(out, "wall", sample_span, [](const shard_sample& s) {
-        return s.time.wall_seconds;
-    });
-    append_hex_column(out, "user", sample_span, [](const shard_sample& s) {
-        return s.time.user_seconds;
-    });
-    append_hex_column(
-        out, "sys", sample_span,
-        [](const shard_sample& s) { return s.time.sys_seconds; },
-        /*comma=*/false);
-    out += "}}}}\n";
-    return out;
-}
-
-void decode_segment(const std::string& path, std::string_view text,
-                    std::vector<block_row>& blocks,
-                    std::vector<round_row>& rounds) {
-    try {
-        const auto doc = util::parse_json(text);
-        const auto& seg = doc.at("segment");
-        const auto version = seg.at("version").as_u64();
-        if (version != store_format_version)
-            throw std::runtime_error{"segment version " +
-                                     std::to_string(version) + " != " +
-                                     std::to_string(store_format_version)};
-        const std::size_t n_blocks = seg.at("block_rows").as_u64();
-        const std::size_t n_rounds = seg.at("round_rows").as_u64();
-
-        const auto& bt = seg.at("blocks");
-        const auto seq = u64_column(bt, "seq", n_blocks);
-        const auto round = u64_column(bt, "round", n_blocks);
-        const auto index = u64_column(bt, "index", n_blocks);
-        const auto cell = u64_column(bt, "cell", n_blocks);
-        const auto trials = u64_column(bt, "trials", n_blocks);
-        const auto hijacks = u64_column(bt, "hijacks", n_blocks);
-        const auto detections = u64_column(bt, "detections", n_blocks);
-        const auto canary = u64_column(bt, "canary_detections", n_blocks);
-        const auto other = u64_column(bt, "other_crashes", n_blocks);
-        const auto& queries = bt.at("queries");
-        const auto& qtc = bt.at("queries_to_compromise");
-        const auto& leaked = bt.at("leaked_bytes_valid");
-        for (std::size_t i = 0; i < n_blocks; ++i) {
-            block_row r;
-            r.seq = seq[i];
-            r.round = round[i];
-            r.block.index = index[i];
-            r.block.cell = cell[i];
-            r.block.partial.trials = trials[i];
-            r.block.partial.hijacks = hijacks[i];
-            r.block.partial.detections = detections[i];
-            r.block.partial.canary_detections = canary[i];
-            r.block.partial.other_crashes = other[i];
-            r.block.partial.queries = welford_at(queries, i);
-            r.block.partial.queries_to_compromise = welford_at(qtc, i);
-            r.block.partial.leaked_bytes_valid = welford_at(leaked, i);
-            blocks.push_back(std::move(r));
-        }
-
-        const auto& rt = seg.at("rounds");
-        const auto rseq = u64_column(rt, "seq", n_rounds);
-        const auto rround = u64_column(rt, "round", n_rounds);
-        const auto rblocks = u64_column(rt, "blocks", n_rounds);
-        const auto rtrials = u64_column(rt, "trials", n_rounds);
-        const auto rcum = u64_column(rt, "cumulative_trials", n_rounds);
-        const auto rhw = hex_column(rt, "max_halfwidth", n_rounds);
-        const auto& rcell = rt.at("widest_cell").elements();
-        const auto rwall = hex_column(rt, "wall_seconds", n_rounds);
-        const auto rretries = u64_column(rt, "retries", n_rounds);
-        const auto rrequeued = u64_column(rt, "requeued_blocks", n_rounds);
-        const auto rtimeouts = u64_column(rt, "timeouts", n_rounds);
-        const auto rresumed = u64_column(rt, "resumed", n_rounds);
-        if (rcell.size() != n_rounds)
-            throw std::runtime_error{"column \"widest_cell\" length mismatch"};
-        const std::size_t base = rounds.size();
-        for (std::size_t i = 0; i < n_rounds; ++i) {
-            round_row r;
-            r.seq = rseq[i];
-            r.summary.round = rround[i];
-            r.summary.blocks = rblocks[i];
-            r.summary.trials = rtrials[i];
-            r.summary.cumulative_trials = rcum[i];
-            r.summary.max_halfwidth = rhw[i];
-            r.summary.widest_cell = rcell[i].as_string();
-            r.summary.wall_seconds = rwall[i];
-            r.summary.retries = rretries[i];
-            r.summary.requeued_blocks = rrequeued[i];
-            r.summary.timeouts = rtimeouts[i];
-            r.summary.resumed = rresumed[i] != 0;
-            rounds.push_back(std::move(r));
-        }
-        const auto& st = rt.at("shards");
-        const auto& srow = st.at("row").elements();
-        const auto& sshard = st.at("shard").elements();
-        const auto& swall = st.at("wall").elements();
-        const auto& suser = st.at("user").elements();
-        const auto& ssys = st.at("sys").elements();
-        for (std::size_t i = 0; i < srow.size(); ++i) {
-            const std::size_t row = srow[i].as_u64();
-            if (row >= n_rounds)
-                throw std::runtime_error{"shard sample points past round rows"};
-            obs::shard_time t;
-            t.shard = static_cast<std::uint32_t>(sshard[i].as_u64());
-            t.wall_seconds = swall.at(i).as_double_exact();
-            t.user_seconds = suser.at(i).as_double_exact();
-            t.sys_seconds = ssys.at(i).as_double_exact();
-            rounds[base + row].summary.shards.push_back(t);
-        }
-    } catch (const std::exception& e) {
-        fail(path + " is unreadable: " + e.what());
-    }
-}
-
-std::string segment_file_name(std::uint64_t first_seq) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "seg-%012llu.json",
-                  static_cast<unsigned long long>(first_seq));
-    return buf;
 }
 
 }  // namespace pssp::store

@@ -5,13 +5,12 @@
 // accepts (and the round summaries / registry snapshots `src/obs/`
 // produces) land here — one blocks entry per accepted round, the unit a
 // resumed run replays — in a layout a reader can use *while the campaign
-// is still running*:
+// is still running*. It holds exactly two files:
 //
-//   <dir>/store.json    atomic manifest (tmp + rename): format version,
-//                       spec digest, the canonicalized wire spec object,
-//                       the compaction frontier, the completion flag, and
-//                       the column-segment table with per-segment FNV-1a
-//                       hashes.
+//   <dir>/store.json    the manifest, written once (tmp + rename) when the
+//                       store is created and never rewritten: format
+//                       version, spec digest, and the canonicalized wire
+//                       spec object.
 //   <dir>/ingest.log    append-only hashed JSONL, one entry per ingest:
 //                       accepted block partials (hexfloat-exact Welford
 //                       state), round summaries, a final obs::registry
@@ -22,19 +21,11 @@
 //
 //                         {"e":{"k":"blocks",...},"fnv":"<16hex>"}
 //
-//   <dir>/seg-*.json    periodically compacted column segments: the log
-//                       rows up to the compaction frontier re-laid as
-//                       column arrays (integer tallies, hexfloat Welford
-//                       columns, round/shard provenance), so aggregation
-//                       scans columns instead of re-parsing JSONL.
-//
-// The ingest log is ground truth and only ever loses a torn final line
-// (cut on resume); segments are a read-optimized projection of a log
-// prefix. Segment encoding is a pure function of its rows, so a torn
-// segment (hash mismatch against the manifest after a mid-write crash) is
-// rebuilt from the log on the next open and must re-hash to the
-// manifest's value — corruption is repaired exactly or fails loudly,
-// never papered over.
+// The ingest log is the store: every reader takes its rows from it, and
+// whether the campaign finished is its completion entry. The log only
+// ever loses a torn final line (cut on resume). A manifest carrying keys
+// this decoder does not read (an older writer's compaction frontier,
+// segment table or completion flag) still loads: its log holds every row.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +49,7 @@ struct block_row {
     dist::partial_block block;
 };
 
-// One round summary as ingested. The summary is the *log-decoded* form
-// (see store_writer::ingest_round): its doubles round-tripped through
-// obs::round_summary_json once, so re-encoding a segment from replayed
-// log rows reproduces the original segment bytes bit for bit.
+// One round summary as the log holds it.
 struct round_row {
     std::uint64_t seq = 0;
     obs::round_summary summary;
@@ -76,24 +64,12 @@ struct completion {
     std::uint64_t report_fnv = 0;
 };
 
-struct segment_info {
-    std::string file;  // relative to the store directory
-    std::uint64_t first_seq = 0;
-    std::uint64_t last_seq = 0;
-    std::uint64_t block_rows = 0;
-    std::uint64_t round_rows = 0;
-    std::uint64_t fnv = 0;  // FNV-1a 64 over the entire segment file
-};
-
 struct manifest {
     std::uint32_t version = store_format_version;
     std::uint64_t spec_digest = 0;
     // Canonicalized spec (jobs = 1, reuse_masters = true — the digest's
     // own canonical form): execution knobs never reach the store.
     campaign::campaign_spec spec;
-    std::uint64_t compacted_seq = 0;  // rows with seq <= this are segmented
-    bool complete = false;
-    std::vector<segment_info> segments;
 };
 
 // ---- ingest log entries ----
@@ -140,20 +116,5 @@ struct log_entry {
 [[nodiscard]] std::string encode_manifest(const manifest& m);
 [[nodiscard]] manifest decode_manifest(const std::string& path,
                                        std::string_view text);
-
-// ---- column segments ----
-
-// Pure function of its rows (blocks then rounds, each ascending seq):
-// identical rows always produce identical bytes, which is what makes
-// rebuild-from-log able to reproduce the manifest's hash.
-[[nodiscard]] std::string encode_segment(std::span<const block_row> blocks,
-                                         std::span<const round_row> rounds);
-void decode_segment(const std::string& path, std::string_view text,
-                    std::vector<block_row>& blocks,
-                    std::vector<round_row>& rounds);
-
-// "seg-<first_seq, 12 digits>.json" — ranges are disjoint, so the first
-// sequence number is a unique, sortable name.
-[[nodiscard]] std::string segment_file_name(std::uint64_t first_seq);
 
 }  // namespace pssp::store

@@ -8,7 +8,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "util/bytes.hpp"
 #include "util/fsio.hpp"
 
 namespace pssp::store {
@@ -19,16 +18,9 @@ namespace {
     throw std::runtime_error{"store: " + what};
 }
 
-// Rows destined for one damaged segment's rebuild.
-struct rebuild_buffer {
-    std::size_t segment = 0;  // index into manifest.segments
-    std::vector<block_row> blocks;
-    std::vector<round_row> rounds;
-};
-
 }  // namespace
 
-store_data load_store(const std::string& dir, const load_options& options) {
+store_data load_store(const std::string& dir) {
     store_data data;
     data.directory = dir;
 
@@ -36,74 +28,25 @@ store_data load_store(const std::string& dir, const load_options& options) {
     if (!util::read_file(dir + "/store.json", manifest_text))
         fail(dir + " is not a result store (missing store.json)");
     data.meta = decode_manifest(dir + "/store.json", manifest_text);
-    data.complete = data.meta.complete;
 
-    // Segments in manifest order; verify each file hash, queue damaged
-    // ones for rebuild from the log.
-    std::vector<rebuild_buffer> damaged;
-    std::vector<std::vector<block_row>> seg_blocks(data.meta.segments.size());
-    std::vector<std::vector<round_row>> seg_rounds(data.meta.segments.size());
-    for (std::size_t i = 0; i < data.meta.segments.size(); ++i) {
-        const auto& info = data.meta.segments[i];
-        const std::string path = dir + "/" + info.file;
-        std::string bytes;
-        const bool present = util::read_file(path, bytes);
-        if (present && util::fnv1a64(bytes) == info.fnv) {
-            decode_segment(path, bytes, seg_blocks[i], seg_rounds[i]);
-            if (seg_blocks[i].size() != info.block_rows ||
-                seg_rounds[i].size() != info.round_rows)
-                fail(path + " row counts disagree with the manifest");
-            continue;
-        }
-        rebuild_buffer buf;
-        buf.segment = i;
-        damaged.push_back(std::move(buf));
-    }
-    auto damaged_for = [&](std::uint64_t seq) -> rebuild_buffer* {
-        for (auto& buf : damaged) {
-            const auto& info = data.meta.segments[buf.segment];
-            if (seq >= info.first_seq && seq <= info.last_seq) return &buf;
-        }
-        return nullptr;
-    };
-
-    // The log: rows past the compaction frontier are served directly;
-    // rows at or before it only matter when a damaged segment needs them.
     const std::string log_path = dir + "/ingest.log";
-    std::uint64_t max_seq = data.meta.compacted_seq;
-    for (const auto& s : data.meta.segments)
-        max_seq = std::max(max_seq, s.last_seq);
-    std::vector<block_row> tail_blocks;
-    std::vector<round_row> tail_rounds;
+    std::uint64_t max_seq = 0;
     util::line_scan_result scan;
     util::scan_lines(
         log_path,
         [&](std::size_t line_no, std::string_view line) {
             auto entry = decode_log_line(log_path, line_no, line);
             max_seq = std::max(max_seq, entry.seq);
-            const bool compacted = entry.seq <= data.meta.compacted_seq;
-            rebuild_buffer* rebuild =
-                compacted ? damaged_for(entry.seq) : nullptr;
             switch (entry.kind) {
-                case entry_kind::blocks: {
-                    std::vector<block_row>* dest =
-                        !compacted ? &tail_blocks
-                        : rebuild  ? &rebuild->blocks
-                                   : nullptr;
-                    if (dest == nullptr) break;  // intact segment holds it
-                    for (const auto& b : entry.blocks)
-                        dest->push_back(block_row{entry.seq, entry.round, b});
+                case entry_kind::blocks:
+                    for (auto& b : entry.blocks)
+                        data.blocks.push_back(
+                            block_row{entry.seq, entry.round, std::move(b)});
                     break;
-                }
-                case entry_kind::round: {
-                    std::vector<round_row>* dest =
-                        !compacted ? &tail_rounds
-                        : rebuild  ? &rebuild->rounds
-                                   : nullptr;
-                    if (dest != nullptr)
-                        dest->push_back(round_row{entry.seq, entry.summary});
+                case entry_kind::round:
+                    data.rounds.push_back(
+                        round_row{entry.seq, std::move(entry.summary)});
                     break;
-                }
                 case entry_kind::metrics:
                     data.metrics = std::move(entry.metrics);
                     break;
@@ -114,34 +57,9 @@ store_data load_store(const std::string& dir, const load_options& options) {
             }
         },
         scan);
-    if (scan.torn_tail) data.dropped_torn_tail = true;
+    data.dropped_torn_tail = scan.torn_tail;
+    data.log_bytes = scan.consumed_bytes;
     data.next_seq = max_seq + 1;
-
-    // Rebuild damaged segments: identical rows must reproduce identical
-    // bytes, so the manifest hash is the acceptance test for the repair.
-    for (auto& buf : damaged) {
-        const auto& info = data.meta.segments[buf.segment];
-        const auto bytes = encode_segment(buf.blocks, buf.rounds);
-        if (util::fnv1a64(bytes) != info.fnv)
-            fail(dir + "/" + info.file +
-                 " is damaged and the ingest log cannot reproduce it "
-                 "(rebuilt hash mismatch) — the store is corrupt");
-        if (options.repair) util::write_file_atomic(dir, info.file, bytes);
-        seg_blocks[buf.segment] = std::move(buf.blocks);
-        seg_rounds[buf.segment] = std::move(buf.rounds);
-        data.repaired_segments += 1;
-    }
-
-    for (std::size_t i = 0; i < data.meta.segments.size(); ++i) {
-        data.blocks.insert(data.blocks.end(), seg_blocks[i].begin(),
-                           seg_blocks[i].end());
-        data.rounds.insert(data.rounds.end(), seg_rounds[i].begin(),
-                           seg_rounds[i].end());
-    }
-    data.blocks.insert(data.blocks.end(), tail_blocks.begin(),
-                       tail_blocks.end());
-    data.rounds.insert(data.rounds.end(), tail_rounds.begin(),
-                       tail_rounds.end());
     return data;
 }
 

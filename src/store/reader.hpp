@@ -1,20 +1,17 @@
-// Opening a result store: verify, repair, serve.
+// Opening a result store: one pass over its log.
 //
 // load_store() materializes a store directory into row vectors the query
-// engine scans: column segments are read first (each verified against the
-// manifest's FNV-1a hash), then the ingest-log tail past the compaction
-// frontier. The ingest log is ground truth — a segment whose bytes do not
-// hash to the manifest's value (a torn mid-write crash, a flipped bit) is
-// rebuilt from the log rows covering its sequence range, and the rebuilt
-// bytes must reproduce the manifest hash exactly: segment encoding is a
-// pure function of its rows, so a repair either restores the original
-// file bit-for-bit or proves the log itself is damaged and fails loudly.
+// engine scans: it decodes store.json, then streams ingest.log once —
+// every line checked against its own integrity hash — into block rows,
+// round rows, the metrics snapshot and the completion entry. The log is
+// the store; there is nothing else to read, verify or repair.
 //
 // A torn *final* log line (no trailing newline — the one state a killed
-// single-write(2) appender can leave) is dropped and reported; a resumed
-// run re-runs its round, which is safe because a round is only observed
-// after its lines are fsync'd. A torn or corrupt line anywhere else is a
-// hard error naming the file and line.
+// single-write(2) appender can leave) is dropped and reported, along
+// with where the complete lines end so a resuming writer can cut it; the
+// resumed run re-runs its round, which is safe because a round is only
+// observed after its lines are fsync'd. A torn or corrupt line anywhere
+// else is a hard error naming the file and line.
 //
 // store_tailer is the `--follow` primitive: an incremental poll over
 // ingest.log that yields each newly completed hashed line as a decoded
@@ -33,28 +30,21 @@ namespace pssp::store {
 struct store_data {
     std::string directory;
     manifest meta;
-    // Segment rows first (manifest order), then log-tail rows — ascending
-    // ingest seq throughout. Blocks are NOT deduplicated here; the query
-    // layer dedups by block index (lowest seq wins).
+    // Rows in log order — ascending ingest seq. Blocks are NOT
+    // deduplicated here; the query layer dedups by block index (lowest
+    // seq wins).
     std::vector<block_row> blocks;
     std::vector<round_row> rounds;
     std::string metrics;  // obs::registry snapshot; empty until finalized
     bool complete = false;
     completion done;
     std::uint64_t next_seq = 1;  // one past the highest seq on disk
-    // What load had to tolerate/repair (exposed for tests and --verify).
-    std::uint64_t repaired_segments = 0;
+    // A torn final line was dropped; the complete lines end at log_bytes.
     bool dropped_torn_tail = false;
+    std::uint64_t log_bytes = 0;
 };
 
-struct load_options {
-    // Rewrite repaired segments back to disk (tmp + rename). Off = serve
-    // the rebuilt rows without touching the directory (read-only media).
-    bool repair = true;
-};
-
-[[nodiscard]] store_data load_store(const std::string& dir,
-                                    const load_options& options = {});
+[[nodiscard]] store_data load_store(const std::string& dir);
 
 class store_tailer {
   public:

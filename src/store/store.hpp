@@ -3,14 +3,14 @@
 // dist::run_sharded opens a store_writer in sharded_options::checkpoint_dir
 // and hands it exactly the block partials the merge validated, one
 // ingest_blocks per accepted round, then the round's obs summary, then at
-// the end the final registry snapshot. Each lands durably (complete hashed
-// line + fsync per ingest) in <dir>/ingest.log, compacted to column
-// segments every few rounds and at finalize. A resumed run reads the
-// accepted rounds back with load_store and replays them through the
-// allocator. Nothing here changes a trial, a merge, or a report: with the
-// store on or off, at any --jobs or shard count, the campaign report
-// bytes are pinned identical (tests/store/store_test.cpp, CI
-// store-identity job).
+// the end the final registry snapshot and the completion entry. Each lands
+// durably (complete hashed line + fsync per ingest) in <dir>/ingest.log;
+// <dir>/store.json is written once, at creation, and never touched again.
+// A resumed run reads the accepted rounds back with load_store and
+// replays them through the allocator. Nothing here changes a trial, a
+// merge, or a report: with the store on or off, at any --jobs or shard
+// count, the campaign report bytes are pinned identical
+// (tests/store/store_test.cpp, tests/identity/store_identity.sh).
 //
 // Ingest is idempotent by construction: a block index already present is
 // skipped, which is what makes resume replays and at-least-once retry
@@ -23,18 +23,10 @@
 #include <span>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
 #include "store/format.hpp"
 
 namespace pssp::store {
-
-struct writer_options {
-    // Compact pending rows into a column segment every N ingested round
-    // summaries (0 = only at finalize). Fixed runs emit one summary, so
-    // their compaction happens at finalize either way.
-    std::uint64_t compact_every_rounds = 4;
-};
 
 class store_writer {
   public:
@@ -42,16 +34,15 @@ class store_writer {
     // refuses a directory that already holds a store, else writes the
     // manifest (canonicalized spec + digest) and starts an empty log.
     // Resume: requires an existing store (throws naming `dir`, creating
-    // nothing, when there is none) with a matching spec digest. Torn
-    // segments are repaired on the way in, a torn final log line is cut
-    // off (and fsync'd) before the first append, and already-ingested
-    // blocks/rounds are remembered so replays dedup. A complete store
-    // opens read-only: any ingest that would append throws, and finalize
-    // only checks the report against the stored completion entry.
+    // nothing, when there is none) with a matching spec digest. One read
+    // of the log recovers everything: a torn final line is cut off (and
+    // fsync'd) before the first append, and already-ingested
+    // blocks/rounds are remembered so replays dedup. A store whose log
+    // holds a completion entry opens read-only: any ingest that would
+    // append throws, and finalize only checks the report against it.
     [[nodiscard]] static store_writer open(const std::string& dir,
                                            const campaign::campaign_spec& spec,
-                                           bool resume,
-                                           const writer_options& options = {});
+                                           bool resume);
 
     store_writer(store_writer&& other) noexcept;
     store_writer& operator=(store_writer&&) = delete;
@@ -64,15 +55,13 @@ class store_writer {
                        std::span<const dist::partial_block> blocks);
 
     // Appends one round summary; dedups by round number (a resume replay
-    // re-announces rounds the store may already hold). Drives the
-    // periodic compaction cadence.
+    // re-announces rounds the store may already hold).
     void ingest_round(const obs::round_summary& summary);
 
-    // Final compaction, then the registry snapshot entry, then the
-    // terminal completion entry carrying FNV-1a(report JSON) — the
-    // self-check queries verify reconstruction against — then the
-    // manifest flips to complete. On a store that was already complete
-    // it appends nothing and throws if the report's FNV differs from the
+    // The registry snapshot entry, then the terminal completion entry
+    // carrying FNV-1a(report JSON) — the self-check queries verify
+    // reconstruction against. On a store that was already complete it
+    // appends nothing and throws if the report's FNV differs from the
     // stored one.
     void finalize(const campaign::campaign_report& report,
                   const std::string& metrics_json);
@@ -89,20 +78,16 @@ class store_writer {
     store_writer() = default;
 
     void append_entry(const log_entry& entry);
-    void compact();
-    void write_manifest() const;
 
     std::string dir_;
-    manifest manifest_;
     int log_fd_ = -1;
     std::uint64_t next_seq_ = 1;
-    writer_options options_;
+    // The log's completion entry: set at open for a finished store (then
+    // `report_fnv_` is the report it vouches for), or by finalize.
+    bool complete_ = false;
+    std::uint64_t report_fnv_ = 0;
     std::unordered_set<std::uint64_t> seen_blocks_;  // canonical block index
-    std::unordered_set<std::uint64_t> seen_rounds_;
-    std::vector<block_row> pending_blocks_;  // rows past compacted_seq
-    std::vector<round_row> pending_rounds_;
-    std::uint64_t rounds_since_compact_ = 0;
-    std::uint64_t round_entries_ = 0;
+    std::unordered_set<std::uint64_t> seen_rounds_;  // one log entry each
     std::uint64_t ingested_blocks_ = 0;
     std::uint64_t skipped_blocks_ = 0;
 };

@@ -23,6 +23,18 @@ int open_retry(const char* path, int flags, mode_t mode = 0) {
     return fd;
 }
 
+// fsync then close `fd`, throwing naming `path` if either fails; the
+// descriptor is closed either way.
+void sync_and_close(int fd, const std::string& path) {
+    const bool synced = ::fsync(fd) == 0;
+    const int err = errno;
+    if (::close(fd) != 0 && synced) fail_errno("cannot close " + path);
+    if (!synced) {
+        errno = err;
+        fail_errno("fsync failed on " + path);
+    }
+}
+
 }  // namespace
 
 void write_all(int fd, std::string_view bytes, const std::string& path) {
@@ -71,16 +83,19 @@ void write_file_atomic(const std::string& dir, const std::string& name,
     const std::string final_path = dir + "/" + name;
     const int fd = open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) fail_errno("cannot create " + tmp);
-    write_all(fd, body, tmp);
-    ::fsync(fd);
-    ::close(fd);
+    try {
+        write_all(fd, body, tmp);
+    } catch (...) {
+        ::close(fd);
+        throw;
+    }
+    // Nothing is renamed into place unless its bytes are known durable.
+    sync_and_close(fd, tmp);
     if (::rename(tmp.c_str(), final_path.c_str()) != 0)
         fail_errno("cannot rename " + tmp);
-    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-        ::fsync(dfd);
-        ::close(dfd);
-    }
+    const int dfd = open_retry(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd < 0) fail_errno("cannot open directory " + dir);
+    sync_and_close(dfd, dir);
 }
 
 int open_append(const std::string& path, bool truncate) {

@@ -1,11 +1,11 @@
-// Small POSIX file-I/O helpers for the durable-state writer (the store
-// ingest log and its manifest and segments) and its readers.
+// Small POSIX file-I/O helpers for the durable-state writer (the store's
+// ingest log and its manifest) and its readers.
 //
 // Three idioms live here so every durable artifact behaves the same way:
 //
 //  * write_all / open_append: O_APPEND logs written as complete lines,
 //    short writes and EINTR retried until the line is fully down.
-//  * write_file_atomic: tmp + rename + directory fsync — the named file
+//  * write_file_atomic: tmp + fsync + rename + directory fsync — the named file
 //    is either the old version or the complete new one, never torn.
 //  * scan_lines: streams a '\n'-terminated line file through a callback
 //    in fixed-size chunks, so replaying a multi-gigabyte log never
@@ -31,7 +31,9 @@ void write_all(int fd, std::string_view bytes, const std::string& path);
 // exist. Only for small metadata files — logs go through scan_lines.
 [[nodiscard]] bool read_file(const std::string& path, std::string& out);
 
-// tmp + rename + directory fsync. `name` is relative to `dir`.
+// tmp + fsync + rename + directory fsync. `name` is relative to `dir`.
+// Any failed write, flush or close throws naming the path, and a failure
+// before the rename leaves the old `name` in place.
 void write_file_atomic(const std::string& dir, const std::string& name,
                        std::string_view body);
 

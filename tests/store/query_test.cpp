@@ -1,8 +1,6 @@
-// The store format and query engine as units: log-line armor, manifest
-// and segment round trips (segment encoding must be a pure function of
-// its rows — that purity is what recovery's rebuild-from-log leans on),
-// block dedup order, filters, and aggregation recomputed from integer
-// tallies matching the campaign's own finalized cells.
+// The store format and query engine as units: log-line armor and round
+// trips, block dedup order, filters, and aggregation recomputed from
+// integer tallies matching the campaign's own finalized cells.
 
 #include <gtest/gtest.h>
 
@@ -73,8 +71,8 @@ obs::round_summary sample_summary(std::uint64_t round) {
     return s;
 }
 
-// A summary as the store keeps it: round-tripped through the wire
-// formatting once (the writer stores the log-decoded form).
+// A summary as the store's log holds it: round-tripped through the wire
+// formatting once.
 obs::round_summary wire_decoded(const obs::round_summary& s) {
     return store::round_summary_from_json(
         util::parse_json(obs::round_summary_json(s)));
@@ -158,41 +156,9 @@ TEST(store_format, round_summary_survives_wire_round_trip) {
     EXPECT_EQ(decoded.timeouts, original.timeouts);
     EXPECT_TRUE(decoded.resumed);
     // A second trip is a fixed point: the stored form re-encodes to the
-    // identical line (segment rebuild determinism rides on this).
+    // identical line.
     EXPECT_EQ(obs::round_summary_json(decoded),
               obs::round_summary_json(wire_decoded(decoded)));
-}
-
-TEST(store_format, segment_encoding_is_a_pure_function_of_rows) {
-    std::vector<store::block_row> blocks;
-    blocks.push_back({1, 1, sample_block(0, 0)});
-    blocks.push_back({1, 1, sample_block(1, 1)});
-    blocks.push_back({3, 2, sample_block(2, 1)});
-    std::vector<store::round_row> rounds;
-    rounds.push_back({2, wire_decoded(sample_summary(1))});
-    rounds.push_back({4, wire_decoded(sample_summary(2))});
-
-    const auto bytes = store::encode_segment(blocks, rounds);
-    EXPECT_EQ(bytes, store::encode_segment(blocks, rounds));
-
-    std::vector<store::block_row> decoded_blocks;
-    std::vector<store::round_row> decoded_rounds;
-    store::decode_segment("seg.json", bytes, decoded_blocks, decoded_rounds);
-    ASSERT_EQ(decoded_blocks.size(), blocks.size());
-    ASSERT_EQ(decoded_rounds.size(), rounds.size());
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-        EXPECT_EQ(decoded_blocks[i].seq, blocks[i].seq);
-        EXPECT_EQ(decoded_blocks[i].round, blocks[i].round);
-        EXPECT_EQ(decoded_blocks[i].block.index, blocks[i].block.index);
-        EXPECT_EQ(decoded_blocks[i].block.partial.queries.save().m2,
-                  blocks[i].block.partial.queries.save().m2);
-    }
-    // Decode → re-encode reproduces the bytes exactly.
-    EXPECT_EQ(store::encode_segment(decoded_blocks, decoded_rounds), bytes);
-    EXPECT_EQ(decoded_rounds[0].summary.shards.size(), 2u);
-
-    EXPECT_EQ(store::segment_file_name(1), "seg-000000000001.json");
-    EXPECT_EQ(store::segment_file_name(123456), "seg-000000123456.json");
 }
 
 TEST(store_query, dedup_keeps_lowest_seq_per_block_index) {

@@ -1,11 +1,10 @@
-// Store damage drills. The ingest log is ground truth and segments are a
-// pure projection of it, so every recovery path has a binary outcome:
-// the repair reproduces the manifest hash bit for bit, or the load fails
-// loudly. Nothing in between, nothing papered over.
+// Store damage drills. The ingest log is the store, so every recovery
+// path has a binary outcome: a torn final line is dropped (and cut before
+// the next append), and any other damage fails the load loudly, naming
+// the file and line. Nothing in between, nothing papered over.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -34,21 +33,18 @@ campaign::campaign_spec small_spec() {
     spec.attacks = {attack::attack_kind::leak_replay};
     spec.targets = {workload::target_kind::nginx};
     // 192 trials = three canonical 64-trial blocks per cell: enough
-    // blocks for three rounds with one segment each.
+    // blocks for three rounds.
     spec.trials_per_cell = 192;
     spec.master_seed = 53;
     spec.query_budget = 512;
     return spec;
 }
 
-// Builds a three-round store with one column segment per round
-// (compact_every_rounds = 1): the canonical block list split into three
+// Builds a three-round store: the canonical block list split into three
 // chunks, each ingested as its round's accepted partials. Left
 // unfinalized so the store looks like a live campaign.
 void build_store(const std::string& dir, const campaign::campaign_spec& spec) {
-    store::writer_options wopts;
-    wopts.compact_every_rounds = 1;
-    auto writer = store::store_writer::open(dir, spec, false, wopts);
+    auto writer = store::store_writer::open(dir, spec, false);
     const auto canonical = campaign::blocks_for(spec);
     ASSERT_GE(canonical.size(), 3u);
     const std::size_t per_round = (canonical.size() + 2) / 3;
@@ -85,68 +81,6 @@ void write_file_raw(const std::string& path, const std::string& bytes) {
     std::ofstream out{path, std::ios::binary | std::ios::trunc};
     ASSERT_TRUE(out) << "cannot write " << path;
     out << bytes;
-}
-
-// Flips one byte somewhere inside the payload (not the trailing newline).
-std::string flipped(std::string bytes, std::size_t at = 40) {
-    at = std::min(at, bytes.size() / 2);
-    bytes[at] = bytes[at] == 'x' ? 'y' : 'x';
-    return bytes;
-}
-
-TEST(store_recovery, torn_segment_rebuilt_bit_identical) {
-    const auto spec = small_spec();
-    const auto dir = fresh_dir("torn-seg");
-    build_store(dir, spec);
-
-    const auto clean = store::load_store(dir);
-    ASSERT_GE(clean.meta.segments.size(), 3u);
-    EXPECT_EQ(clean.repaired_segments, 0u);
-    const auto clean_answer =
-        store::aggregate_json(clean, store::aggregate_cells(clean, {}));
-
-    const std::string seg_path = dir + "/" + clean.meta.segments[0].file;
-    const auto original = read_file_or_die(seg_path);
-    write_file_raw(seg_path, flipped(original));
-
-    const auto repaired = store::load_store(dir);
-    EXPECT_EQ(repaired.repaired_segments, 1u);
-    EXPECT_EQ(repaired.blocks.size(), clean.blocks.size());
-    EXPECT_EQ(repaired.rounds.size(), clean.rounds.size());
-    EXPECT_EQ(store::aggregate_json(repaired,
-                                    store::aggregate_cells(repaired, {})),
-              clean_answer);
-    // The repair wrote the original bytes back: same file, bit for bit.
-    EXPECT_EQ(read_file_or_die(seg_path), original);
-
-    // A deleted segment is the same failure mode as a torn one.
-    ASSERT_EQ(::unlink(seg_path.c_str()), 0);
-    const auto restored = store::load_store(dir);
-    EXPECT_EQ(restored.repaired_segments, 1u);
-    EXPECT_EQ(read_file_or_die(seg_path), original);
-}
-
-TEST(store_recovery, no_repair_serves_rows_without_rewriting) {
-    const auto spec = small_spec();
-    const auto dir = fresh_dir("no-repair");
-    build_store(dir, spec);
-
-    const auto clean = store::load_store(dir);
-    const auto clean_answer =
-        store::aggregate_json(clean, store::aggregate_cells(clean, {}));
-    const std::string seg_path = dir + "/" + clean.meta.segments[0].file;
-    const auto original = read_file_or_die(seg_path);
-    const auto corrupt = flipped(original);
-    write_file_raw(seg_path, corrupt);
-
-    store::load_options read_only;
-    read_only.repair = false;
-    const auto data = store::load_store(dir, read_only);
-    EXPECT_EQ(data.repaired_segments, 1u);
-    EXPECT_EQ(store::aggregate_json(data, store::aggregate_cells(data, {})),
-              clean_answer);
-    // Served from the rebuilt rows, but the disk was left untouched.
-    EXPECT_EQ(read_file_or_die(seg_path), corrupt);
 }
 
 TEST(store_recovery, torn_final_log_line_is_dropped_and_reported) {
@@ -221,34 +155,60 @@ TEST(store_recovery, corrupt_interior_log_line_fails_with_line_number) {
     }
 }
 
-TEST(store_recovery, unreproducible_segment_fails_loudly) {
+TEST(store_recovery, parent_format_store_loads_from_its_log) {
+    // A store written before the log became the whole store: its manifest
+    // carries a compaction frontier, a column-segment table and a
+    // completion flag, and segment files sit next to the log. None of it
+    // is read; the log alone answers, and the store still resumes.
     const auto spec = small_spec();
-    const auto dir = fresh_dir("unreproducible");
+    const auto dir = fresh_dir("parent-format");
     build_store(dir, spec);
-
-    // Tamper the manifest's hash for segment 0: the stored file no longer
-    // matches, and the rebuild from the (intact) log reproduces the
-    // *original* bytes — which cannot match the tampered hash either. The
-    // load must refuse rather than serve rows it cannot vouch for.
     const auto clean = store::load_store(dir);
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(clean.meta.segments[0].fnv));
+    ASSERT_EQ(clean.rounds.size(), 3u);
+
     const std::string manifest_path = dir + "/store.json";
     auto manifest = read_file_or_die(manifest_path);
-    const auto pos = manifest.find(hex);
-    ASSERT_NE(pos, std::string::npos);
-    manifest[pos] = manifest[pos] == '0' ? '1' : '0';
+    const auto spec_at = manifest.find("\"spec\":");
+    ASSERT_NE(spec_at, std::string::npos);
+    const std::string last_seq = std::to_string(clean.next_seq - 1);
+    manifest.insert(spec_at,
+                    "\"compacted_seq\":" + last_seq + ",\"complete\":true,");
+    ASSERT_EQ(manifest.substr(manifest.size() - 3), "}}\n");
+    manifest.insert(manifest.size() - 3,
+                    ",\"segments\":[{\"file\":\"seg-000000000001.json\","
+                    "\"first_seq\":1,\"last_seq\":" +
+                        last_seq +
+                        ",\"block_rows\":7,\"round_rows\":3,"
+                        "\"fnv\":\"0123456789abcdef\"}]");
     write_file_raw(manifest_path, manifest);
+    write_file_raw(dir + "/seg-000000000001.json", "{\"segment\":garbage");
 
-    try {
-        (void)store::load_store(dir);
-        FAIL() << "expected the unreproducible segment to fail the load";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string{e.what()}.find("cannot reproduce it"),
-                  std::string::npos)
-            << e.what();
+    const auto data = store::load_store(dir);
+    EXPECT_EQ(data.meta.spec_digest, clean.meta.spec_digest);
+    ASSERT_EQ(data.blocks.size(), clean.blocks.size());
+    for (std::size_t i = 0; i < data.blocks.size(); ++i) {
+        EXPECT_EQ(data.blocks[i].seq, clean.blocks[i].seq);
+        EXPECT_EQ(data.blocks[i].round, clean.blocks[i].round);
+        EXPECT_EQ(data.blocks[i].block.index, clean.blocks[i].block.index);
     }
+    ASSERT_EQ(data.rounds.size(), clean.rounds.size());
+    for (std::size_t i = 0; i < data.rounds.size(); ++i)
+        EXPECT_EQ(data.rounds[i].summary.round, clean.rounds[i].summary.round);
+    EXPECT_EQ(store::aggregate_json(data, store::aggregate_cells(data, {})),
+              store::aggregate_json(clean, store::aggregate_cells(clean, {})));
+    // Completion is the log's entry, not the manifest's flag.
+    EXPECT_FALSE(data.complete);
+    EXPECT_EQ(data.next_seq, clean.next_seq);
+
+    {
+        auto writer = store::store_writer::open(dir, spec, /*resume=*/true);
+        obs::round_summary s;
+        s.round = 4;
+        writer.ingest_round(s);
+    }
+    const auto resumed = store::load_store(dir);
+    ASSERT_EQ(resumed.rounds.size(), 4u);
+    EXPECT_EQ(resumed.rounds.back().seq, clean.next_seq);
 }
 
 TEST(store_recovery, writer_crash_before_finalize_resumes_and_completes) {
@@ -275,9 +235,7 @@ TEST(store_recovery, writer_crash_before_finalize_resumes_and_completes) {
 
     {
         // "Crash": the writer goes away mid-campaign without finalize.
-        store::writer_options wopts;
-        wopts.compact_every_rounds = 1;
-        auto writer = store::store_writer::open(dir, spec, false, wopts);
+        auto writer = store::store_writer::open(dir, spec, false);
         writer.ingest_blocks(1, chunk(0, 2));
         writer.ingest_round(summary_for(1));
     }

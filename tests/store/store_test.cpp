@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -143,9 +146,7 @@ TEST(store_store, chaos_run_ingest_equals_clean_run) {
 TEST(store_store, ingest_is_idempotent) {
     const auto spec = small_spec();
     const auto dir = fresh_dir("dedup");
-    store::writer_options wopts;
-    wopts.compact_every_rounds = 0;
-    auto writer = store::store_writer::open(dir, spec, false, wopts);
+    auto writer = store::store_writer::open(dir, spec, false);
 
     // Hand-build one valid block partial per canonical block.
     const auto canonical = campaign::blocks_for(spec);
@@ -175,6 +176,49 @@ TEST(store_store, ingest_is_idempotent) {
     EXPECT_EQ(data.blocks.size(), blocks.size());
     EXPECT_EQ(data.rounds.size(), 1u);
     EXPECT_EQ(store::dedup_blocks(data).size(), blocks.size());
+}
+
+TEST(store_store, store_json_is_written_once) {
+    // A store is its manifest, written at open, and its log: nothing
+    // else lands in the directory and the manifest is never rewritten,
+    // not by ingest, finalize, or a read-only resume of the finished store.
+    const auto spec = small_spec();
+    const auto dir = fresh_dir("write-once");
+    const auto manifest_path = dir + "/store.json";
+    std::string at_open;
+    campaign::campaign_report report;
+    report.spec = spec;
+    {
+        auto writer = store::store_writer::open(dir, spec, false);
+        ASSERT_TRUE(util::read_file(manifest_path, at_open));
+        std::vector<dist::partial_block> blocks;
+        for (const auto& ref : campaign::blocks_for(spec)) {
+            dist::partial_block b;
+            b.index = ref.index;
+            b.cell = ref.cell;
+            b.partial.trials = ref.trials;
+            blocks.push_back(b);
+        }
+        writer.ingest_blocks(1, blocks);
+        obs::round_summary summary;
+        summary.round = 1;
+        writer.ingest_round(summary);
+        writer.finalize(report, "{}");
+    }
+    {
+        auto writer = store::store_writer::open(dir, spec, /*resume=*/true);
+        writer.finalize(report, "{}");
+    }
+
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator{dir})
+        names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"ingest.log", "store.json"}));
+    std::string at_end;
+    ASSERT_TRUE(util::read_file(manifest_path, at_end));
+    EXPECT_EQ(at_end, at_open);
+    EXPECT_TRUE(store::load_store(dir).complete);
 }
 
 TEST(store_store, refuses_existing_store_without_resume) {

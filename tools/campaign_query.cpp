@@ -8,10 +8,11 @@
 //   --json         the same aggregate as deterministic JSON
 //   --report       reconstruct the full campaign report from the store
 //                  alone; on a complete store this is byte-identical to
-//                  the report the campaign wrote (CI `cmp`s the two)
-//   --verify       integrity pass: segments re-hashed (done on every
-//                  load), reconstructed report checked against the FNV
-//                  the completion entry recorded
+//                  the report the campaign wrote (ctest -L store `cmp`s
+//                  the two)
+//   --verify       integrity pass: every log line's hash checked (done
+//                  on every load), reconstructed report checked against
+//                  the FNV the completion entry recorded
 //   --follow       tail the ingest log live, one line per entry, until
 //                  the campaign completes
 //   --html         self-contained dashboard export
@@ -30,6 +31,7 @@
 #include "store/dashboard.hpp"
 #include "store/query.hpp"
 #include "util/bytes.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -42,7 +44,6 @@ void usage(const char* argv0) {
         "          [--verify] [--follow] [--html PATH|-] [--metrics]\n"
         "          [--compare DIR]... [--scheme S]... [--attack A]...\n"
         "          [--target T]... [--min-round N] [--max-round N]\n"
-        "          [--no-repair]\n"
         "  DIR            result store written by campaign_shard --store\n"
         "  --table        per-cell aggregate table (default action)\n"
         "  --json         per-cell aggregate as deterministic JSON\n"
@@ -50,9 +51,10 @@ void usage(const char* argv0) {
         "                 store ('-' or omitted = stdout); byte-identical\n"
         "                 to the campaign's own --json output once the\n"
         "                 store is complete\n"
-        "  --verify       re-hash segments, rebuild anything torn, check\n"
-        "                 the reconstructed report against the stored\n"
-        "                 completion hash; exit 0 only if all hold\n"
+        "  --verify       check the reconstructed report against the\n"
+        "                 stored completion hash (every log line's own\n"
+        "                 hash is checked on load); exit 0 only if the\n"
+        "                 store is complete and both hold\n"
         "  --follow       tail the ingest log live until completion\n"
         "  --html PATH    dashboard export ('-' = stdout)\n"
         "  --metrics      print the stored obs registry snapshot\n"
@@ -60,8 +62,7 @@ void usage(const char* argv0) {
         "                 comparison table (repeatable)\n"
         "  --scheme S     filter to scheme S (repeatable; same for\n"
         "                 --attack/--target)\n"
-        "  --min-round N / --max-round N  round provenance window\n"
-        "  --no-repair    do not write repaired segments back to disk\n",
+        "  --min-round N / --max-round N  round provenance window\n",
         argv0);
 }
 
@@ -137,7 +138,6 @@ int main(int argc, char** argv) {
     bool do_follow = false, do_metrics = false;
     const char* report_path = nullptr;
     const char* html_path = nullptr;
-    store::load_options load_opts;
 
     for (int i = 1; i < argc; ++i) {
         auto next_value = [&](const char* flag) -> const char* {
@@ -178,12 +178,10 @@ int main(int argc, char** argv) {
                 store::add_target(filter, next_value("--target"));
             } else if (!std::strcmp(argv[i], "--min-round")) {
                 filter.min_round =
-                    std::strtoull(next_value("--min-round"), nullptr, 10);
+                    util::parse_count("--min-round", next_value("--min-round"));
             } else if (!std::strcmp(argv[i], "--max-round")) {
                 filter.max_round =
-                    std::strtoull(next_value("--max-round"), nullptr, 10);
-            } else if (!std::strcmp(argv[i], "--no-repair")) {
-                load_opts.repair = false;
+                    util::parse_count("--max-round", next_value("--max-round"));
             } else if (argv[i][0] == '-') {
                 usage(argv[0]);
                 return 2;
@@ -210,15 +208,7 @@ int main(int argc, char** argv) {
     try {
         if (do_follow) return follow(dir);
 
-        const auto data = store::load_store(dir, load_opts);
-        if (data.repaired_segments > 0)
-            std::fprintf(stderr,
-                         "store %s: rebuilt %llu torn segment(s) from the "
-                         "ingest log%s\n",
-                         dir.c_str(),
-                         static_cast<unsigned long long>(
-                             data.repaired_segments),
-                         load_opts.repair ? "" : " (read-only, not rewritten)");
+        const auto data = store::load_store(dir);
         if (data.dropped_torn_tail)
             std::fprintf(stderr,
                          "store %s: dropped a torn final log line (killed "
@@ -259,7 +249,7 @@ int main(int argc, char** argv) {
             stores.push_back(data);
             names.push_back(dir);
             for (const auto& d : compare_dirs) {
-                stores.push_back(store::load_store(d, load_opts));
+                stores.push_back(store::load_store(d));
                 names.push_back(d);
             }
             std::printf("%s\n",

@@ -97,7 +97,7 @@ void usage(const char* argv0) {
                  "               failed attempt (default 0.05)\n"
                  "  --store DIR  persist every accepted round (block partials\n"
                  "               and summary, fsync'd) to a crash-resumable\n"
-                 "               columnar result store in DIR (query with\n"
+                 "               result store in DIR (query with\n"
                  "               tools_campaign_query; report bytes\n"
                  "               identical store on or off)\n"
                  "  --resume     continue the store in --store DIR (spec\n"
