@@ -2,13 +2,16 @@
 //
 // The chaos harness is how the fault-tolerance layer is tested without
 // real flaky hardware: the orchestrator's environment carries a *fault
-// plan* (PSSP_CAMPAIGN_FAULT_PLAN), every worker process parses it at
-// startup, and a worker whose (shard, round, attempt) coordinate matches
-// a rule executes that rule's fault instead of (or around) its real work.
-// Because the coordinate is fully determined by the campaign — the
-// allocator's round schedule is a pure function of (spec, master_seed)
-// and the orchestrator numbers attempts deterministically — a chaos run
-// replays *exactly*: same faults, same retries, same recovered report.
+// plan* (PSSP_CAMPAIGN_FAULT_PLAN), every worker and node process parses
+// it at startup, and a lease whose (shard, round, attempt) coordinate
+// matches a rule gets that rule's fault instead of (or around) its real
+// work. The coordinate travels in each lease frame's envelope
+// (dist/frame.hpp), so a long-lived worker serving many leases keys every
+// one of them correctly. Because the coordinate is fully determined by
+// the campaign — the allocator's round schedule is a pure function of
+// (spec, master_seed) and the orchestrator numbers attempts
+// deterministically — a chaos run replays *exactly*: same faults, same
+// retries, same recovered report.
 //
 // Plan grammar (comma-separated rules; whitespace-free):
 //
@@ -26,21 +29,23 @@
 //                                      the retry heals; "*" = every
 //                                      attempt, for exhaustion tests)
 //
-// Process faults, at the point in the compute worker's life where they
-// strike (local pipe transport AND the compute child a network node
-// forks — the same fault plan behaves identically over both transports):
+// Process faults, at the point in the lease where the compute worker
+// strikes (a local one-lease worker AND a network node's long-lived one —
+// the same fault plan behaves identically over both transports):
 //
-//   crash        exit(3) at startup, before reading stdin
+//   crash        exit(3) on receiving the lease, before any work
 //   crash-late   exit(4) after computing the partial, before emitting it
-//   hang         block forever at startup (the supervisor's deadline
-//                SIGKILLs it)
-//   trunc        emit only the first half of the partial JSON, exit 0
+//   hang         block forever on receiving the lease (the supervisor's
+//                deadline SIGKILLs a local worker and evicts a node,
+//                whose session teardown kills its worker)
+//   trunc        emit only the first half of the partial JSON (in an
+//                intact result frame) and carry on
 //   corrupt      emit a partial whose spec digest is flipped — parses
 //                fine, fails validation
 //   wrong-block  emit a partial whose block indices are shifted by one —
 //                covers blocks the manifest never assigned
-//   slow=N       sleep N milliseconds at startup, then run normally
-//                (exercises the deadline without tripping it)
+//   slow=N       sleep N milliseconds on receiving the lease, then run
+//                normally (exercises the deadline without tripping it)
 //
 // Network faults, executed by the *node* daemon when a lease with a
 // matching coordinate arrives (they never reach the compute child):
@@ -134,10 +139,7 @@ enum class fault_family : std::uint8_t { any, process, net };
     const fault_plan& plan, std::uint64_t shard, std::uint64_t round,
     std::uint64_t attempt, fault_family family = fault_family::any) noexcept;
 
-// Environment variable names shared by the orchestrator (which sets the
-// coordinates per spawned worker) and the worker (which reads them).
+// The environment variable that carries the plan to workers and nodes.
 inline constexpr const char* fault_plan_env = "PSSP_CAMPAIGN_FAULT_PLAN";
-inline constexpr const char* fault_round_env = "PSSP_CAMPAIGN_ROUND";
-inline constexpr const char* fault_attempt_env = "PSSP_CAMPAIGN_ATTEMPT";
 
 }  // namespace pssp::dist

@@ -7,6 +7,7 @@
 
 #include <fcntl.h>
 #include <limits.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -36,8 +37,7 @@ scoped_sigpipe_ignore::~scoped_sigpipe_ignore() {
 
 std::string child_process::spawn(
     const std::string& path, const std::vector<std::string>& args,
-    const std::vector<std::pair<const char*, std::string>>& env,
-    std::string input) {
+    const std::vector<std::pair<const char*, std::string>>& env) {
     // [0] = stdin, [1] = stdout. O_CLOEXEC: a child must not inherit its
     // siblings' pipe ends — a write end surviving in another child would
     // hold this child's stdin open past the parent's close and stall EOF.
@@ -54,6 +54,7 @@ std::string child_process::spawn(
             return std::string{"pipe() failed ("} + std::strerror(err) + ")";
         }
     }
+    const pid_t parent = ::getpid();
     const pid_t pid = ::fork();
     if (pid < 0) {
         const int err = errno;
@@ -61,6 +62,10 @@ std::string child_process::spawn(
         return std::string{"fork() failed ("} + std::strerror(err) + ")";
     }
     if (pid == 0) {
+        // Die with the parent; a parent that died before the prctl took
+        // effect has already reparented this child.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != parent) ::_exit(1);
         // stderr stays inherited: child diagnostics surface on the parent's.
         ::dup2(pipes[0][0], STDIN_FILENO);
         ::dup2(pipes[1][1], STDOUT_FILENO);
@@ -85,16 +90,26 @@ std::string child_process::spawn(
     out_fd_ = pipes[1][0];
     for (const int fd : {in_fd_, out_fd_})
         ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-    input_ = std::move(input);
+    input_.clear();
     in_off_ = 0;
+    end_input_ = false;
     input_error_.clear();
     output_.clear();
-    if (input_.empty()) close_input();
     return {};
 }
 
+void child_process::send(std::string_view bytes) {
+    if (in_fd_ >= 0) input_.append(bytes);
+}
+
+void child_process::end_input() {
+    end_input_ = true;
+    if (in_off_ == input_.size()) close_input();
+}
+
 void child_process::add_poll_fds(std::vector<pollfd>& fds) const {
-    if (in_fd_ >= 0) fds.push_back(pollfd{in_fd_, POLLOUT, 0});
+    if (in_fd_ >= 0 && in_off_ < input_.size())
+        fds.push_back(pollfd{in_fd_, POLLOUT, 0});
     if (out_fd_ >= 0) fds.push_back(pollfd{out_fd_, POLLIN, 0});
 }
 
@@ -113,9 +128,12 @@ void child_process::service(const pollfd& p) {
             if (input_error_.empty())
                 input_error_ =
                     std::string{"input write failed: "} + std::strerror(errno);
-            break;
+            close_input();
+            return;
         }
-        close_input();
+        input_.clear();
+        in_off_ = 0;
+        if (end_input_) close_input();
     } else if (p.fd == out_fd_) {
         char buf[1 << 16];
         for (;;) {
@@ -155,6 +173,8 @@ int child_process::kill_and_reap() noexcept {
 void child_process::close_input() noexcept {
     if (in_fd_ >= 0) ::close(in_fd_);
     in_fd_ = -1;
+    input_.clear();
+    in_off_ = 0;
 }
 
 void child_process::close_output() noexcept {

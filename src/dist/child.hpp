@@ -1,11 +1,13 @@
 // Process plumbing shared by run_jobs() and the tools_campaign_node daemon.
 //
 // child_process is one fork/exec'd compute worker behind a stdin/stdout
-// pipe pair. The input is fed over a non-blocking stdin pipe and the
-// output collected from a non-blocking stdout pipe, both from the caller's
-// poll() loop, so a child that hangs before reading its input can never
-// wedge the parent. run_jobs()'s local channel and the node daemon (which
-// runs one leased attempt at a time) drive their children through it.
+// pipe pair. Input is fed over a non-blocking stdin pipe and output
+// collected from a non-blocking stdout pipe, both from the caller's poll()
+// loop, so a child that stops reading its input can never wedge the
+// parent. run_jobs()'s local channel sends one lease frame and then EOF;
+// the node daemon keeps its child's stdin open and sends a lease frame per
+// lease. The child is killed if the thread that spawned it dies
+// (PR_SET_PDEATHSIG), so no worker outlives its parent.
 #pragma once
 
 #include <csignal>
@@ -46,20 +48,24 @@ class child_process {
     ~child_process() { (void)kill_and_reap(); }
 
     // fork/execs `path` with `args` as argv[1..], exporting each `env`
-    // pair into the child's environment, and queues `input` for its stdin.
-    // Returns an empty string, or "pipe() failed (...)" / "fork() failed
-    // (...)" with nothing left open. A failed exec surfaces later as exit
-    // status 127.
+    // pair into the child's environment; its stdin stays open until
+    // end_input(). Returns an empty string, or "pipe() failed (...)" /
+    // "fork() failed (...)" with nothing left open. A failed exec surfaces
+    // later as exit status 127.
     [[nodiscard]] std::string spawn(
         const std::string& path, const std::vector<std::string>& args,
-        const std::vector<std::pair<const char*, std::string>>& env,
-        std::string input);
+        const std::vector<std::pair<const char*, std::string>>& env);
+    // Queues `bytes` for the child's stdin (dropped once stdin is closed).
+    void send(std::string_view bytes);
+    // Closes stdin once everything queued has been delivered.
+    void end_input();
 
     [[nodiscard]] bool running() const noexcept { return pid_ >= 0; }
     // stdout reached EOF (or a read error): reap() will not block long.
     [[nodiscard]] bool output_done() const noexcept { return out_fd_ < 0; }
 
-    // Appends one pollfd per open pipe end.
+    // Appends a pollfd for stdin while input is queued, and one for stdout
+    // while it is open.
     void add_poll_fds(std::vector<pollfd>& fds) const;
     // Feeds stdin or drains stdout, whichever `p` (with revents) names.
     // EINTR retries, EAGAIN yields back to poll, EPIPE records
@@ -74,6 +80,10 @@ class child_process {
     int kill_and_reap() noexcept;
 
     [[nodiscard]] const std::string& output() const noexcept { return output_; }
+    // Moves out the stdout bytes collected so far.
+    [[nodiscard]] std::string take_output() noexcept {
+        return std::exchange(output_, {});
+    }
     [[nodiscard]] const std::string& input_error() const noexcept {
         return input_error_;
     }
@@ -85,8 +95,9 @@ class child_process {
     pid_t pid_ = -1;
     int in_fd_ = -1;   // non-blocking write end of the child's stdin
     int out_fd_ = -1;  // non-blocking read end of the child's stdout
-    std::string input_;
+    std::string input_;  // queued, not yet written: input_[in_off_..]
     std::size_t in_off_ = 0;
+    bool end_input_ = false;  // close stdin once input_ is delivered
     std::string input_error_;
     std::string output_;
 };

@@ -88,10 +88,17 @@ coordinator::~coordinator() {
         n.conn.close();
     }
     if (listen_fd_ >= 0) ::close(listen_fd_);
-    // ... and a hard stop for any fleet child that did not take it.
+    // ... a moment for each fleet node to take it (it reaps its worker
+    // first, so the fleet's CPU time and peak RSS reach this process's
+    // RUSAGE_CHILDREN) ... and a hard stop for any that does not.
+    const auto deadline = steady_clock::now() + std::chrono::seconds{1};
     for (const pid_t pid : fleet_) {
         int status = 0;
-        if (::waitpid(pid, &status, WNOHANG) == 0) {
+        pid_t done = 0;
+        while ((done = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+               steady_clock::now() < deadline)
+            ::usleep(200);
+        if (done == 0) {
             ::kill(pid, SIGKILL);
             while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
             }
@@ -304,12 +311,7 @@ bool coordinator::lease(std::size_t k, const supervised_job& job,
     idle->job = k;
     idle->shard = job.shard;
     idle->attempt = attempt;
-    lease_envelope env;
-    env.shard = job.shard;
-    env.shard_count = job.shard_count;
-    env.attempt = attempt;
-    env.round = job.manifest.round;
-    idle->conn.queue(frame_type::lease, encode_lease(env, job.input));
+    idle->conn.queue(frame_type::lease, lease_payload(job, attempt));
     obs::add(counters().leases, 1);
     return true;
 }

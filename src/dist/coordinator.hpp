@@ -4,10 +4,10 @@
 // classification, requeue. The coordinator owns only what sockets need:
 // the listen socket, the hello/welcome handshake, heartbeats, eviction,
 // the self-spawned fleet, and the SIGTERM drain. A lease frame carries the
-// *same* round-job JSON the local channel feeds over stdin, and the result
-// frame the compute child's raw stdout, so the merge downstream cannot
-// tell the channel kinds apart: report bytes are identical to --jobs 1 by
-// construction.
+// *same* payload the local channel writes to its worker's stdin, and the
+// result frame the worker's own result payload, so the merge downstream
+// cannot tell the channel kinds apart: report bytes are identical to
+// --jobs 1 by construction.
 //
 // Robustness model (the design center):
 //
@@ -31,11 +31,13 @@
 //                   run exits non-zero but --resume picks up from the
 //                   store's last accepted round byte-identically.
 //
-// Nodes stay registered across rounds. Fleet mode (fleet_workers > 0)
-// self-spawns that many localhost tools_campaign_node daemons pointed back
-// at the coordinator's own port — the tests/CI topology. The children set
+// Nodes stay registered across rounds, and each keeps one compute worker
+// across its leases. Fleet mode (fleet_workers > 0) self-spawns that many
+// localhost tools_campaign_node daemons pointed back at the coordinator's
+// own port — the tests/CI topology. The nodes and their workers set
 // PR_SET_PDEATHSIG, so a SIGKILLed coordinator (--kill-after-round) cannot
-// leak node processes. With fleet_workers == 0 the coordinator only
+// leak either. Destruction sends every node a shutdown frame and waits
+// up to a second for the fleet to exit before SIGKILLing it. With fleet_workers == 0 the coordinator only
 // listens; remote nodes are started with
 // `tools_campaign_node --connect host:port`.
 #pragma once
@@ -67,8 +69,8 @@ struct net_options {
     // Self-spawned localhost fleet size (sibling tools_campaign_node
     // daemons); 0 = external nodes only.
     unsigned fleet_workers = 0;
-    // Compute worker binary the fleet nodes fork per lease; empty lets
-    // each node resolve its own sibling tools_campaign_worker.
+    // Compute worker binary the fleet nodes run; empty lets each node
+    // resolve its own sibling tools_campaign_worker.
     std::string worker_path;
 
     // Heartbeat interval the welcome imposes on nodes; a node silent for

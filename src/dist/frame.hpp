@@ -1,7 +1,7 @@
 // The network wire: length-prefixed, integrity-hashed message frames.
 //
-// Everything the TCP coordinator and its remote worker nodes exchange
-// travels as one frame:
+// Everything the TCP coordinator, its remote worker nodes and every
+// compute worker's stdin/stdout exchange travels as one frame:
 //
 //   u32   payload length (little-endian; counts payload bytes only)
 //   u8    frame type (frame_type below)
@@ -16,11 +16,11 @@
 // is bounded (max_frame_payload) so a hostile or scrambled prefix cannot
 // make a receiver buffer gigabytes.
 //
-// Payloads are the *same* deterministic JSON the local pipe transport
-// uses (dist/wire.hpp round-job and partial messages); the lease and
-// result frames prepend a small fixed envelope (shard identity, attempt,
-// wait status) that the local transport carries on argv / in the wait4
-// status instead.
+// Lease and result payloads wrap the deterministic wire JSON
+// (dist/wire.hpp round-job and partial messages) in a small fixed
+// envelope (shard identity, attempt, round, wait status). The local pipe
+// channel and the network carry the very same frames: a node relays them
+// between the coordinator and its worker unchanged.
 //
 // frame_reader decodes incrementally — feed() any byte dribble the
 // kernel hands you (short reads, EINTR-split reads, one byte at a time)
@@ -91,21 +91,20 @@ class frame_reader {
 
 // ---- Envelopes ----
 //
-// Fixed little-endian prefixes in front of the JSON payloads; the JSON
-// itself stays byte-identical to the local pipe transport.
+// Fixed little-endian prefixes in front of the wire JSON payloads.
 
 // lease payload = lease_envelope + round_job JSON (wire::round_job_to_json)
 struct lease_envelope {
     std::uint32_t shard = 0;        // manifest slot this lease covers ...
     std::uint32_t shard_count = 0;  // ... of how many this round
     std::uint32_t attempt = 1;      // 1-based; requeues increment it
-    std::uint64_t round = 0;        // chaos coordinate + worker env
+    std::uint64_t round = 0;        // the manifest's round (chaos coordinate)
 };
 
-// result payload = result_envelope + the compute child's raw stdout
-// (partial JSON on success; anything or nothing on failure — the
-// coordinator classifies from wait_status first, output second, exactly
-// like the local supervisor).
+// result payload = result_envelope + the worker's partial JSON. A worker
+// writes wait_status 0; a node whose worker died holding the lease sends
+// the worker's raw wait status and no JSON. The supervisor classifies
+// from the wait status first, the JSON second, on either channel.
 struct result_envelope {
     std::uint32_t shard = 0;
     std::uint32_t shard_count = 0;

@@ -19,7 +19,6 @@
 #include "dist/wire.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "store/reader.hpp"
 #include "store/store.hpp"
 #include "util/json.hpp"
 
@@ -251,16 +250,15 @@ std::optional<store::store_writer> open_store(
                                      options.resume);
 }
 
-// Feeds every round the store holds back through the allocator instead of
-// running it. Each blocks entry (one ingest seq, which is also its
+// Feeds every round the store held at open back through the allocator
+// instead of running it. Each blocks entry (one ingest seq, which is also its
 // ingest.log line) is one accepted round; replay_round re-plans it and
 // validates the entry against the plan, so a store from a different spec
 // — or one with the wrong round structure — fails loudly, naming the line.
 void replay_store(store::store_writer& store,
                   campaign::adaptive_allocator& allocator,
                   const sharded_options& options) {
-    const auto data = store::load_store(store.directory());
-    const auto& rows = data.blocks;
+    const auto rows = store.take_loaded_blocks();
     for (std::size_t first = 0, end = 0; first < rows.size(); first = end) {
         const std::uint64_t round = rows[first].round;
         std::vector<partial_block> entry;

@@ -4,9 +4,12 @@
 // round: a fixed campaign is one round numbered 0 holding every block of
 // blocks_for(spec); an adaptive one runs rounds 1..N until every cell has
 // converged or spent its budget. Each round's block list is split
-// round-robin by position across the shards, and one
-// `tools_campaign_worker` per non-empty slice runs it from an explicit
-// block manifest (wire round-job JSON on stdin, partial report on stdout).
+// round-robin by position across the shards, and each non-empty slice
+// becomes one job: an explicit block manifest (wire round-job JSON) sent
+// as a lease frame to a `tools_campaign_worker`, which answers with a
+// result frame holding the partial report. Over local pipes each job gets
+// a fresh worker process that serves that one lease; over a fleet
+// (options.net) each node relays its leases to one long-lived worker.
 // The orchestrator validates exactly-once coverage of the round
 // (wire::collect_block_partials), records the merged partials, and asks the
 // allocator for the next round. Decisions are pure functions of merged
@@ -32,8 +35,9 @@
 // fsync'd, then the block_ingest hook runs, then the completed round
 // summary is stored, then the round observer runs. A run whose
 // *orchestrator* dies can be resumed (options.resume) and produce a
-// byte-identical report, replaying the stored rounds (store::load_store)
-// through the allocator and running only the rounds after them; the store
+// byte-identical report, replaying the stored rounds (read once, by
+// store_writer::open) through the allocator and running only the rounds
+// after them; the store
 // is finalized with the report before run_sharded returns. A torn final
 // log line is dropped and its round re-runs. Resuming a complete store
 // replays it, spawns no worker, appends nothing, and throws if the report
@@ -57,8 +61,9 @@
 namespace pssp::dist {
 
 struct sharded_options {
-    // Number of worker processes. 1 still goes through fork/exec — that is
-    // the point of --shards 1 as a protocol check.
+    // Jobs per round (a round's block list is split this many ways). Over
+    // local pipes each job is one worker process; 1 still goes through
+    // fork/exec — that is the point of --shards 1 as a protocol check.
     unsigned shards = 1;
     // Path to the worker binary; empty resolves default_worker_path().
     std::string worker_path;
@@ -89,8 +94,8 @@ struct sharded_options {
     // flows back into the merge or the report.
     std::function<void(std::uint64_t round, std::span<const partial_block>)>
         block_ingest;
-    // Crash flight recorder: each worker process is pointed at a
-    // per-shard flight file via the PSSP_OBS_FLIGHT environment variable
+    // Crash flight recorder (local pipes only): each worker process is
+    // pointed at a per-shard flight file via the PSSP_OBS_FLIGHT environment variable
     // and checkpoints its span ring there as it runs. If a worker crashes,
     // exits non-zero, or emits a bad partial, the orchestrator dumps that
     // recording plus the worker's argv, wait status, round number and
@@ -116,7 +121,8 @@ struct sharded_options {
     // ---- Network transport ----
     // Engaged: run_jobs leases every attempt to tools_campaign_node
     // daemons registered with a dist::coordinator (remote channels)
-    // instead of forking local workers. The jobs, the classify/requeue
+    // instead of forking local workers; each node serves its leases on
+    // one long-lived worker. The jobs, the classify/requeue
     // loop, the result store, and the merge are the same code either
     // way, so the report is byte-identical to the local path at any
     // worker count or fault schedule. The fault_policy above (including

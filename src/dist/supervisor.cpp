@@ -10,9 +10,9 @@
 
 #include <sys/wait.h>
 
-#include "dist/chaos.hpp"
 #include "dist/child.hpp"
 #include "dist/coordinator.hpp"
+#include "dist/frame.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 
@@ -139,6 +139,22 @@ attempt_classification classify_attempt(const supervised_job& job,
     return c;
 }
 
+// A local worker answers its one lease with exactly one result frame on
+// stdout. Returns the partial JSON after the frame's envelope; throws when
+// stdout holds anything else. The partial's own header carries the shard
+// identity classify_attempt checks.
+std::string unwrap_result(const std::string& raw) {
+    frame_reader reader;
+    reader.feed(raw.data(), raw.size());
+    const auto f = reader.next();
+    if (!f || f->type != frame_type::result || reader.pending_bytes() != 0)
+        throw std::runtime_error{"stdout (" + std::to_string(raw.size()) +
+                                 " bytes) is not one result frame"};
+    std::string_view body;
+    (void)decode_result(f->payload, &body);
+    return std::string{body};
+}
+
 enum class job_state : std::uint8_t { pending, running, finished };
 
 // One job. A running attempt is held by a channel: the slot's local child,
@@ -213,19 +229,19 @@ class job_loop {
             if (fleet_ != nullptr) {
                 if (!fleet_->lease(k, job, attempt)) return;
             } else {
-                // Chaos coordinates: the fault plan keys on (shard, round,
-                // attempt); shard travels on argv, these by environment.
-                std::vector<std::pair<const char*, std::string>> env{
-                    {fault_round_env, std::to_string(job.manifest.round)},
-                    {fault_attempt_env, std::to_string(attempt)}};
+                // One lease frame, then EOF: the worker answers it and
+                // exits, so every local attempt is one process.
+                std::vector<std::pair<const char*, std::string>> env;
                 // Flight recorder: the worker enables tracing and
                 // checkpoints its span ring to the named file.
                 if (!job.flight_path.empty())
                     env.emplace_back("PSSP_OBS_FLIGHT", job.flight_path);
-                if (auto err =
-                        slot.child.spawn(worker_, job.args, env, job.input);
+                if (auto err = slot.child.spawn(worker_, job.args, env);
                     !err.empty())
                     abort_all(err);
+                slot.child.send(encode_frame(frame_type::lease,
+                                             lease_payload(job, attempt)));
+                slot.child.end_input();
                 obs::add(counters().spawned, 1);
             }
             slot.state = job_state::running;
@@ -336,8 +352,21 @@ class job_loop {
             fail_attempt(k, failure_kind::timeout, why, status, true);
             return;
         }
-        finish_attempt(k, status, slot.child.output(), slot.child.input_error(),
-                       {});
+        // A clean exit must leave one result frame on stdout; its partial
+        // is then classified exactly like a node's relayed result.
+        std::string output;
+        if (describe_wait_status(status).empty()) {
+            try {
+                output = unwrap_result(slot.child.output());
+            } catch (const std::exception& e) {
+                fail_attempt(k, failure_kind::bad_partial,
+                             std::string{"emitted a bad result frame: "} +
+                                 e.what(),
+                             status, true);
+                return;
+            }
+        }
+        finish_attempt(k, status, output, slot.child.input_error(), {});
     }
 
     void finish_attempt(std::size_t k, int status, std::string_view output,
@@ -431,6 +460,15 @@ class job_loop {
 };
 
 }  // namespace
+
+std::string lease_payload(const supervised_job& job, unsigned attempt) {
+    lease_envelope env;
+    env.shard = job.shard;
+    env.shard_count = job.shard_count;
+    env.attempt = attempt;
+    env.round = job.manifest.round;
+    return encode_lease(env, job.input);
+}
 
 double fault_policy::backoff_for(unsigned failed_attempts) const noexcept {
     double delay = backoff_base_seconds;

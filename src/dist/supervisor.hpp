@@ -5,11 +5,19 @@
 // kinds, and a single poll() loop serves both:
 //
 //   * local        a fork/exec'd tools_campaign_worker behind a stdin/stdout
-//                  pipe pair (dist/child.hpp). Capacity is unbounded, so
-//                  every job of a round starts at once.
+//                  pipe pair (dist/child.hpp), fed exactly one lease frame
+//                  and then EOF, so every attempt is one process; it
+//                  answers with one result frame. Capacity is unbounded,
+//                  so every job of a round starts at once.
 //   * remote       a tools_campaign_node registered with a dist::coordinator
 //                  behind a framed socket. Capacity is one lease per node,
-//                  so in-flight work is bounded by the fleet size.
+//                  so in-flight work is bounded by the fleet size. The node
+//                  relays the same lease frame to a long-lived worker and
+//                  its result frame back.
+//
+// Both kinds carry the same lease payload (lease_payload below) and the
+// same result payload, so the chaos coordinates (shard, round, attempt)
+// reach the worker in the lease envelope on either channel.
 //
 // The loop owns everything the two kinds share:
 //
@@ -82,7 +90,7 @@ enum class failure_kind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(failure_kind kind) noexcept;
 
-// One job to supervise: argv tail, stdin payload, and the block manifest
+// One job to supervise: argv tail, round-job JSON, and the block manifest
 // it must cover (validated against its emitted partial).
 struct supervised_job {
     std::vector<std::string> args;
@@ -138,10 +146,15 @@ struct supervise_hooks {
         on_attempt_failure;
 };
 
+// The lease frame payload for one attempt at `job`: the envelope (shard,
+// shard count, attempt, round) followed by the job's round-job JSON.
+[[nodiscard]] std::string lease_payload(const supervised_job& job,
+                                        unsigned attempt);
+
 // Runs every job to a terminal state and returns job-aligned results.
 // With `fleet` null every attempt is a local child running `worker`;
 // otherwise every attempt is leased to one of the fleet's nodes (which
-// fork `worker` themselves). Worker failures are reported in the results —
+// run `worker` themselves). Worker failures are reported in the results —
 // the caller turns retry exhaustion into a loud error with full context.
 // Throws std::runtime_error only for infrastructure failures (pipe/fork
 // exhaustion, poll failure, a drained or starved fleet), after killing and

@@ -39,7 +39,7 @@ store_writer store_writer::open(const std::string& dir,
     const std::string log_path = dir + "/ingest.log";
 
     if (present) {
-        const auto data = load_store(dir);
+        auto data = load_store(dir);
         if (data.meta.spec_digest != digest)
             fail(dir + ": spec digest mismatch (store " +
                  std::to_string(data.meta.spec_digest) + ", this run " +
@@ -50,6 +50,7 @@ store_writer store_writer::open(const std::string& dir,
         w.next_seq_ = data.next_seq;
         for (const auto& r : data.blocks) w.seen_blocks_.insert(r.block.index);
         for (const auto& r : data.rounds) w.seen_rounds_.insert(r.summary.round);
+        w.loaded_blocks_ = std::move(data.blocks);
         w.log_fd_ = util::open_append(log_path, /*truncate=*/false);
         // Cut the torn final line before the first append, or the next
         // entry would be glued onto its bytes.
@@ -82,6 +83,7 @@ store_writer::store_writer(store_writer&& other) noexcept
       report_fnv_{other.report_fnv_},
       seen_blocks_{std::move(other.seen_blocks_)},
       seen_rounds_{std::move(other.seen_rounds_)},
+      loaded_blocks_{std::move(other.loaded_blocks_)},
       ingested_blocks_{other.ingested_blocks_},
       skipped_blocks_{other.skipped_blocks_} {
     other.log_fd_ = -1;

@@ -6,7 +6,7 @@
 // the end the final registry snapshot and the completion entry. Each lands
 // durably (complete hashed line + fsync per ingest) in <dir>/ingest.log;
 // <dir>/store.json is written once, at creation, and never touched again.
-// A resumed run reads the accepted rounds back with load_store and
+// A resumed run takes the accepted rounds the writer read at open and
 // replays them through the allocator. Nothing here changes a trial, a
 // merge, or a report: with the store on or off, at any --jobs or shard
 // count, the campaign report bytes are pinned identical
@@ -23,6 +23,8 @@
 #include <span>
 #include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "store/format.hpp"
 
@@ -66,6 +68,13 @@ class store_writer {
     void finalize(const campaign::campaign_report& report,
                   const std::string& metrics_json);
 
+    // The block rows the log held when a resumed store was opened, in log
+    // order (empty for a fresh store). Moves them out: the orchestrator
+    // replays them through its allocator without reading the log again.
+    [[nodiscard]] std::vector<block_row> take_loaded_blocks() noexcept {
+        return std::exchange(loaded_blocks_, {});
+    }
+
     [[nodiscard]] const std::string& directory() const noexcept { return dir_; }
     [[nodiscard]] std::uint64_t ingested_blocks() const noexcept {
         return ingested_blocks_;
@@ -88,6 +97,7 @@ class store_writer {
     std::uint64_t report_fnv_ = 0;
     std::unordered_set<std::uint64_t> seen_blocks_;  // canonical block index
     std::unordered_set<std::uint64_t> seen_rounds_;  // one log entry each
+    std::vector<block_row> loaded_blocks_;  // until take_loaded_blocks()
     std::uint64_t ingested_blocks_ = 0;
     std::uint64_t skipped_blocks_ = 0;
 };

@@ -42,7 +42,8 @@ void usage(const char* argv0) {
                  "usage: %s [--scheme S|all] [--workload W|all]\n"
                  "          [--mode dynamic|static|all] [--no-mutation]\n"
                  "          [--json PATH|-] [--list] [-v]\n"
-                 "  --scheme S     one scheme (e.g. ssp, p_ssp) or 'all'\n"
+                 "  --scheme S     one scheme as --list spells it (e.g. SSP,\n"
+                 "                 P-SSP) or 'all'\n"
                  "  --workload W   one catalog workload or 'all'\n"
                  "  --mode M       link mode(s) to build (default all)\n"
                  "  --no-mutation  skip the mutation self-test stage\n"

@@ -1,32 +1,38 @@
 // A remote campaign worker node: the daemon half of dist::coordinator.
 //
 // Connects to a coordinator (`--connect host:port`), registers with a
-// hello/welcome handshake, then serves leases: each lease frame carries
-// the *same* round-job JSON the local channel feeds over stdin, so the
-// node fork/execs the sibling `tools_campaign_worker` through the same
-// child driver (dist/child.hpp) with the standard argv (--shard K
-// --shards N) and environment (PSSP_CAMPAIGN_ROUND /
-// PSSP_CAMPAIGN_ATTEMPT) and streams the child's raw stdout back in a
-// result frame together with its wait status. run_jobs classifies that
-// exactly like a local attempt — the compute layer cannot tell the
-// channel kinds apart.
+// hello/welcome handshake, then serves leases. Each session keeps one
+// long-lived compute worker (the sibling `tools_campaign_worker`, or
+// --worker) and relays frames to and from it: a lease frame from the
+// coordinator goes to the worker's stdin unchanged, and the worker's
+// result frame goes back unchanged. The lease and result payloads are the
+// ones the local channel exchanges with its one-lease workers, so run_jobs
+// classifies a remote attempt exactly like a local one — the compute
+// layer cannot tell the channel kinds apart.
 //
-// Liveness: one poll() loop drives the socket and the compute child's
-// pipes together, so heartbeats keep flowing while a lease computes. A
+// Worker lifetime: spawned at the first lease of a session and reused for
+// every later one. If it dies, its raw wait status becomes the held
+// lease's result (a crash requeues; exit 127, a failed exec, is never
+// retried) and the next lease spawns a fresh one. It dies with the node:
+// the node SIGKILLs and reaps it when the session ends, and the worker
+// carries PR_SET_PDEATHSIG should the node itself be killed.
+//
+// Liveness: one poll() loop drives the socket and the worker's pipes
+// together, so heartbeats keep flowing while a lease computes. A
 // malformed coordinator frame ends the session with an error frame, never
-// the process. If
-// the coordinator goes away mid-lease (eviction, crash, network cut) the
-// child is SIGKILLed — its lease has been requeued on a survivor; letting
-// it finish would only waste cycles — and the node reconnects and
-// re-registers with a bumped reconnect counter. Reconnect attempts are
-// bounded (--retries); exhaustion exits the process.
+// the process. If the coordinator goes away mid-lease (eviction, crash,
+// network cut) the session ends and its worker with it — the lease has
+// been requeued on a survivor; letting it finish would only waste cycles
+// — and the node reconnects and re-registers with a bumped reconnect
+// counter. Reconnect attempts are bounded (--retries); exhaustion exits
+// the process.
 //
 // Chaos: net-* rules in PSSP_CAMPAIGN_FAULT_PLAN are executed HERE, keyed
 // on the lease's (shard, round, attempt) coordinate — drop the
 // connection, go silent through a partition, stall heartbeats, garble the
 // result frame, delay it, or kill the whole node (net-die, the
 // permanently-vanished worker). Process faults ride through unchanged to
-// the compute child, which selects them itself.
+// the worker, which reads the same coordinate from the relayed lease.
 
 #include <algorithm>
 #include <cerrno>
@@ -34,6 +40,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -60,8 +68,8 @@ int usage(const char* argv0) {
         "usage: %s --connect HOST:PORT [--name NAME] [--worker PATH]\n"
         "          [--retries N] [--retry-delay MS]\n"
         "Campaign worker node: registers with a dist::coordinator and runs\n"
-        "one leased block-manifest job at a time by fork/exec'ing the\n"
-        "compute worker (default: the sibling tools_campaign_worker).\n",
+        "one leased block-manifest job at a time on a long-lived compute\n"
+        "worker (default: the sibling tools_campaign_worker).\n",
         argv0);
     return 2;
 }
@@ -111,27 +119,22 @@ struct node_config {
     unsigned retry_delay_ms = 250;
 };
 
-// Sends the compute child's result, applying the lease's net fault.
-// Returns false when the connection is poisoned.
+// Sends one result payload to the coordinator, applying the lease's net
+// fault. Returns false when the connection is poisoned.
 bool respond(const node_config& cfg, frame_conn& conn,
-             const lease_envelope& env, const fault_rule& nf, int status,
-             const std::string& output) {
-    result_envelope renv;
-    renv.shard = env.shard;
-    renv.shard_count = env.shard_count;
-    renv.attempt = env.attempt;
-    renv.wait_status = status;
+             const lease_envelope& env, const fault_rule& nf,
+             std::string_view payload) {
     if (nf.kind == fault_kind::net_delay)
         ::usleep(static_cast<useconds_t>(nf.param * 1000));
     if (nf.kind != fault_kind::net_garble) {
-        conn.queue(frame_type::result, encode_result(renv, output));
+        conn.queue(frame_type::result, payload);
         return true;
     }
     // Flip one trailer byte so the coordinator's integrity hash catches
     // it; write raw, bypassing the frame queue.
     std::fprintf(stderr, "%s: injected net-garble on shard %u\n",
                  cfg.name.c_str(), env.shard);
-    auto raw = encode_frame(frame_type::result, encode_result(renv, output));
+    auto raw = encode_frame(frame_type::result, payload);
     raw.back() = static_cast<char>(raw.back() ^ 0x5a);
     std::size_t off = 0;
     while (off < raw.size()) {
@@ -149,12 +152,87 @@ bool respond(const node_config& cfg, frame_conn& conn,
     return true;
 }
 
+// The session's compute worker: one long-lived tools_campaign_worker
+// child, fed a lease frame per lease, answering with a result frame per
+// lease. A dead child is reaped and its wait status becomes the held
+// lease's result; the next lease spawns a fresh one.
+class worker_link {
+  public:
+    explicit worker_link(const std::string& path) : path_{path} {}
+
+    [[nodiscard]] bool holding() const noexcept { return holding_; }
+    [[nodiscard]] const lease_envelope& lease() const noexcept { return lease_; }
+    [[nodiscard]] const fault_rule& fault() const noexcept { return fault_; }
+
+    // Relays one lease frame payload to the child, spawning it first if
+    // none is running. Returns false if the child cannot be spawned.
+    [[nodiscard]] bool start(std::string_view payload,
+                             const lease_envelope& env, const fault_rule& nf) {
+        if (!child_.running()) {
+            if (!child_.spawn(path_, {}, {}).empty()) return false;
+            reader_ = frame_reader{};
+        }
+        child_.send(encode_frame(frame_type::lease, payload));
+        holding_ = true;
+        lease_ = env;
+        fault_ = nf;
+        return true;
+    }
+
+    void add_poll_fds(std::vector<pollfd>& fds) const {
+        child_.add_poll_fds(fds);
+    }
+
+    // Services the child's pipes; returns the held lease's result payload
+    // once it is known — the child's own result frame, or a result
+    // envelope carrying the wait status of a child that died holding it.
+    [[nodiscard]] std::optional<std::string> service(
+        std::span<const pollfd> fds) {
+        for (const auto& p : fds) child_.service(p);
+        if (!child_.running()) return std::nullopt;
+        const std::string out = child_.take_output();
+        reader_.feed(out.data(), out.size());
+        try {
+            if (auto f = reader_.next(); f.has_value()) {
+                if (f->type != frame_type::result || !holding_)
+                    throw std::runtime_error{
+                        std::string{"worker sent an unexpected "} +
+                        to_string(f->type) + " frame"};
+                holding_ = false;
+                return std::move(f->payload);
+            }
+        } catch (const std::exception& e) {
+            // A child speaking garbage is killed; its status reports it.
+            std::fprintf(stderr, "node: %s\n", e.what());
+            child_.kill();
+        }
+        if (!child_.output_done()) return std::nullopt;
+        const int status = child_.reap();
+        if (!holding_) return std::nullopt;
+        holding_ = false;
+        result_envelope env;
+        env.shard = lease_.shard;
+        env.shard_count = lease_.shard_count;
+        env.attempt = lease_.attempt;
+        env.wait_status = status;
+        return encode_result(env, {});
+    }
+
+  private:
+    const std::string& path_;
+    child_process child_;  // SIGKILLed and reaped when the session ends
+    frame_reader reader_;
+    bool holding_ = false;
+    lease_envelope lease_;
+    fault_rule fault_;  // net fault applied when the result is ready
+};
+
 // One connected session. Returns true to reconnect, false to exit the
 // process (shutdown, net-die, fatal coordinator error). `connected` is
 // set once the TCP connect succeeds, so the caller can distinguish a lost
 // session (counts as a reconnect) from a coordinator that was never
-// reachable. A compute child still running when the session ends is
-// SIGKILLed by its destructor: its lease has been requeued elsewhere.
+// reachable. The session's worker is SIGKILLed and reaped when it ends:
+// a lease it still held has been requeued elsewhere.
 bool run_session(const node_config& cfg, const fault_plan& plan,
                  std::uint64_t reconnects, bool& connected) {
     const int fd = connect_to(cfg.host, cfg.port);
@@ -170,9 +248,7 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
     bool welcomed = false;
     bool stall_heartbeats = false;
     std::uint64_t last_beat = now_ms();
-    child_process child;
-    lease_envelope lease;
-    fault_rule lease_fault;  // net fault applied when the result is ready
+    worker_link worker{cfg.worker};
 
     // Handles one coordinator frame: 1 = carry on, 0 = exit, -1 = reconnect.
     // Throws on a malformed payload.
@@ -184,8 +260,7 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
                 welcomed = true;
                 return 1;
             case frame_type::lease: {
-                std::string_view job_json;
-                const auto env = decode_lease(f.payload, &job_json);
+                const auto env = decode_lease(f.payload, nullptr);
                 const auto nf = decide_fault(plan, env.shard, env.round,
                                              env.attempt, fault_family::net);
                 switch (nf.kind) {
@@ -212,27 +287,16 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
                     default:
                         break;
                 }
-                if (child.running()) {
+                if (worker.holding()) {
                     // Protocol breach: capacity is one lease.
                     conn.queue(frame_type::error, "node already holds a lease");
                     return 1;
                 }
-                // The same argv and env contract as the local channel.
-                const std::vector<std::string> args{
-                    "--shard", std::to_string(env.shard), "--shards",
-                    std::to_string(env.shard_count)};
-                if (!child.spawn(cfg.worker, args,
-                                 {{fault_round_env, std::to_string(env.round)},
-                                  {fault_attempt_env,
-                                   std::to_string(env.attempt)}},
-                                 std::string{job_json})
-                         .empty()) {
+                // Process faults ride through to the worker, which reads
+                // the same coordinate from the relayed envelope.
+                if (!worker.start(f.payload, env, nf))
                     conn.queue(frame_type::error,
                                "node failed to spawn the worker");
-                    return 1;
-                }
-                lease = env;
-                lease_fault = nf;
                 return 1;
             }
             case frame_type::shutdown:
@@ -250,7 +314,7 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
         const short events =
             static_cast<short>(POLLIN | (conn.wants_write() ? POLLOUT : 0));
         std::vector<pollfd> fds{pollfd{conn.fd(), events, 0}};
-        child.add_poll_fds(fds);
+        worker.add_poll_fds(fds);
         const std::uint64_t now = now_ms();
         const std::uint64_t next_beat = last_beat + heartbeat_ms;
         // Stalled heartbeats (net-stall-hb) must not busy-spin on an
@@ -296,10 +360,9 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
             if (status != frame_conn::io_status::ok) return true;
         }
 
-        for (std::size_t i = 1; i < fds.size(); ++i) child.service(fds[i]);
-        if (child.running() && child.output_done() &&
-            !respond(cfg, conn, lease, lease_fault, child.reap(),
-                     child.output()))
+        if (auto result = worker.service({fds.data() + 1, fds.size() - 1});
+            result.has_value() &&
+            !respond(cfg, conn, worker.lease(), worker.fault(), *result))
             return true;
     }
 }
