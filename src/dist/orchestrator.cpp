@@ -39,11 +39,15 @@ std::string flight_file_path(const sharded_options& options, std::uint32_t k) {
                          std::to_string(k) + ".json");
 }
 
-// Attempt 1 keeps the historical obs-postmortem-<shard>.json name; retries
-// get -attempt<N> suffixes so no attempt's evidence overwrites another's.
+// A run's first round (0 for a fixed run, 1 for an adaptive one) and
+// attempt 1 keep the historical obs-postmortem-<shard>.json name; later
+// rounds get a -round<R> suffix and retries an -attempt<N> suffix, so no
+// failed attempt's evidence overwrites another's.
 std::string postmortem_file_path(const sharded_options& options,
-                                 std::uint32_t k, unsigned attempt) {
+                                 std::uint32_t k, std::uint64_t round,
+                                 unsigned attempt) {
     std::string name = "obs-postmortem-" + std::to_string(k);
+    if (round > 1) name += "-round" + std::to_string(round);
     if (attempt > 1) name += "-attempt" + std::to_string(attempt);
     return join_path(options.postmortem_dir, name + ".json");
 }
@@ -80,7 +84,8 @@ std::string format_blocks(const supervised_job& job) {
 // worker died before its first checkpoint).
 void write_postmortem(const sharded_options& options, const std::string& worker,
                       const supervised_job& job, const attempt_record& rec) {
-    const auto path = postmortem_file_path(options, job.shard, rec.attempt);
+    const auto path =
+        postmortem_file_path(options, job.shard, job.manifest.round, rec.attempt);
     std::string flight = "null";
     if (!job.flight_path.empty()) {
         std::ifstream in{job.flight_path, std::ios::binary};

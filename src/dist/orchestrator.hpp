@@ -99,8 +99,10 @@ struct sharded_options {
     // and checkpoints its span ring there as it runs. If a worker crashes,
     // exits non-zero, or emits a bad partial, the orchestrator dumps that
     // recording plus the worker's argv, wait status, round number and
-    // block manifest to obs-postmortem-<shard>.json (in postmortem_dir)
-    // before failing the run loudly. Flight files are removed on success.
+    // block manifest to obs-postmortem-<shard>[-round<R>][-attempt<N>].json
+    // (in postmortem_dir; the suffixes mark rounds after a run's first and
+    // retries) before failing the run loudly. Flight files are removed on
+    // success.
     bool flight_recorder = true;
     std::string postmortem_dir;  // empty = current directory
 

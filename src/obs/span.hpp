@@ -22,8 +22,9 @@
 //                         bounded JSON object; workers checkpoint this to
 //                         the path in set_flight_path() (tmp + rename, so
 //                         a crash mid-write never leaves a torn file) and
-//                         the orchestrator embeds it in
-//                         obs-postmortem-<shard>.json for dead shards.
+//                         the orchestrator embeds it in the dead
+//                         shard's postmortem, obs-postmortem-<shard>
+//                         [-round<R>][-attempt<N>].json.
 //
 // Like the registry, this is a side channel: span contents never feed
 // back into trial outcomes or report bytes, and PSSP_OBS=0 compiles the

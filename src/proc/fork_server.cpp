@@ -108,7 +108,7 @@ serve_result fork_server::serve(std::span<const std::uint8_t> request) {
     // fork(): the worker inherits everything, then the runtime's fork hook
     // runs (shadow-canary refresh under P-SSP, TLS renewal under RAF, CAB
     // walk under DynaGuard, ...). The clone is a dirty-page sync against
-    // the recycled worker machine, not a 0.5 MB copy; machine scalars ride
+    // the recycled worker machine, not an image copy; machine scalars ride
     // along cheaply too — the decoded dispatch stream lives in the shared
     // program and the flattened cost table behind a shared pointer, so
     // neither is ever copied per request.

@@ -4,9 +4,9 @@
 // A campaign cell runs thousands of trials against the same (binary,
 // scheme) build, each needing a fork server booted under its own seed.
 // Before the pool, every trial loaded the program (instruction stream +
-// address index), allocated and zeroed a 0.5 MB process image, wrote the
-// globals, ran the runtime setup hook, and executed the master's boot path
-// — then threw it all away. The pool keeps the seed-independent work
+// address index), mapped a fresh process image, wrote the globals, ran the
+// runtime setup hook, and executed the master's boot path — then threw it
+// all away. The pool keeps the seed-independent work
 // alive:
 //   * one vm::program — including its decoded direct-threaded dispatch
 //     stream — shared by every server of the cell;
@@ -84,7 +84,7 @@ class master_pool {
     // Caps how many idle servers the pool parks; releases beyond the cap
     // destroy the server instead. Unlimited by default. Sharded campaigns
     // size this to the process's worker count so a wide multi-process
-    // fan-out doesn't hold one machine-width of 0.5 MB images per shard.
+    // fan-out doesn't hold one machine-width of idle images per shard.
     void set_idle_limit(std::size_t limit);
     [[nodiscard]] std::size_t idle_limit() const;
 

@@ -58,7 +58,7 @@ class process_manager {
     // The post-clone tail of fork_child (pid, output, entropy stream, fork
     // hook) applied to a machine that is already a byte-exact replica of
     // the parent. The fork server recycles one worker machine per request
-    // via machine::sync_from + this, skipping the 0.5 MB deep copy.
+    // via machine::sync_from + this, skipping the image copy.
     void fork_child_finish(vm::machine& child);
 
     // Spawns a thread of `parent`: same image, fresh stack (the caller

@@ -187,7 +187,7 @@ class machine {
     // Makes *this an exact replica of `src` (same program), assuming the
     // two were identical when both fork channels were last cleared. The
     // cheap fork: the process layer recycles one worker machine per server
-    // this way instead of deep-copying 0.5 MB per request.
+    // this way instead of copying every written page per request.
     void sync_from(machine& src);
 
   private:

@@ -41,10 +41,49 @@ memory::memory(const layout& lay) : layout_{lay} {
     desc_[0] = {lay.stack_top - lay.stack_size, lay.stack_size, stack_off};
     desc_[1] = {lay.globals_base, lay.globals_size, globals_off};
     desc_[2] = {lay.tls_base, lay.tls_size, tls_off};
-    buf_.assign(tls_off + page_align(lay.tls_size), 0);
+    buf_.resize(tls_off + page_align(lay.tls_size));  // already zero, unwritten
     const std::size_t words = (buf_.size() / page_bytes + 63) / 64;
     dirty_[0].assign(words, 0);
     dirty_[1].assign(words, 0);
+    touched_.assign(words, 0);
+}
+
+memory::memory(const memory& other)
+    : layout_{other.layout_},
+      desc_{other.desc_},
+      buf_(other.buf_.size()),
+      dirty_{other.dirty_},
+      touched_{other.touched_} {
+    for (std::size_t w = 0; w < touched_.size(); ++w)
+        copy_pages(other, w, other.written(w));
+}
+
+memory& memory::operator=(const memory& other) {
+    if (this == &other) return *this;
+    if (buf_.size() != other.buf_.size()) return *this = memory{other};
+    layout_ = other.layout_;
+    desc_ = other.desc_;
+    // Pages only this side wrote must become zero again.
+    for (std::size_t w = 0; w < touched_.size(); ++w)
+        copy_pages(other, w, written(w) | other.written(w));
+    dirty_ = other.dirty_;
+    touched_ = other.touched_;
+    return *this;
+}
+
+void memory::copy_pages(const memory& src, std::size_t w,
+                        std::uint64_t bits) noexcept {
+    const std::uint64_t nonzero = src.written(w);
+    while (bits != 0) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+        bits &= bits - 1;
+        const std::size_t off = ((w << 6) + b) * page_bytes;
+        const std::size_t n = std::min(page_bytes, buf_.size() - off);
+        if ((nonzero >> b) & 1)
+            std::memcpy(buf_.data() + off, src.buf_.data() + off, n);
+        else
+            std::memset(buf_.data() + off, 0, n);
+    }
 }
 
 std::uint8_t memory::load8(std::uint64_t addr) const {
@@ -99,7 +138,10 @@ void memory::write_bytes(std::uint64_t addr, std::span<const std::uint8_t> data)
 
 void memory::mark_clean(dirty_channel channel) noexcept {
     auto& bits = dirty_[static_cast<unsigned>(channel)];
-    std::fill(bits.begin(), bits.end(), 0);
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+        touched_[w] |= bits[w];
+        bits[w] = 0;
+    }
 }
 
 void memory::mark_all_clean() noexcept {
@@ -114,17 +156,12 @@ void memory::restore_from(const memory& snap) {
     auto& restore_bits = dirty_[static_cast<unsigned>(dirty_channel::restore)];
     auto& fork_bits = dirty_[static_cast<unsigned>(dirty_channel::fork)];
     for (std::size_t w = 0; w < restore_bits.size(); ++w) {
-        std::uint64_t bits = restore_bits[w];
+        const std::uint64_t bits = restore_bits[w];
         if (bits == 0) continue;
+        copy_pages(snap, w, bits);
         fork_bits[w] |= bits;  // the restore itself changes those pages
+        touched_[w] |= bits;
         restore_bits[w] = 0;
-        while (bits != 0) {
-            const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-            bits &= bits - 1;
-            const std::size_t off = ((w << 6) + b) * page_bytes;
-            const std::size_t n = std::min(page_bytes, buf_.size() - off);
-            std::memcpy(buf_.data() + off, snap.buf_.data() + off, n);
-        }
     }
 }
 
@@ -135,16 +172,13 @@ void memory::sync_from(memory& src) {
     auto& mine = dirty_[static_cast<unsigned>(dirty_channel::fork)];
     auto& theirs = src.dirty_[static_cast<unsigned>(dirty_channel::fork)];
     for (std::size_t w = 0; w < mine.size(); ++w) {
-        std::uint64_t bits = mine[w] | theirs[w];
+        const std::uint64_t bits = mine[w] | theirs[w];
+        if (bits == 0) continue;
+        copy_pages(src, w, bits);
+        touched_[w] |= bits;
+        src.touched_[w] |= theirs[w];
         mine[w] = 0;
         theirs[w] = 0;
-        while (bits != 0) {
-            const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
-            bits &= bits - 1;
-            const std::size_t off = ((w << 6) + b) * page_bytes;
-            const std::size_t n = std::min(page_bytes, buf_.size() - off);
-            std::memcpy(buf_.data() + off, src.buf_.data() + off, n);
-        }
     }
 }
 

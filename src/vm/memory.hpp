@@ -13,7 +13,13 @@
 //
 // Storage is one contiguous buffer with the regions laid out back to back
 // at page-aligned offsets; address resolution walks a three-entry flat
-// descriptor array (stack first — it is by far the hottest region). The
+// descriptor array (stack first — it is by far the hottest region).
+//
+// The buffer is sparse: it is a fresh anonymous mapping, so it starts out
+// zero without being written, and the kernel backs a page only once it is
+// written. A booted master writes a handful of its 129 pages, so copying an
+// image copies only the pages that may be non-zero (the touched pages plus
+// both dirty channels) and leaves the rest unmapped in the copy. The
 // interpreter and the native helpers use the noexcept accessors (try_*,
 // avail) and turn an unmapped byte into a segfault trap without
 // unwinding; the throwing accessors remain for code outside the run loop
@@ -31,6 +37,7 @@
 
 #include <array>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -79,7 +86,9 @@ enum class dirty_channel : unsigned { restore = 0, fork = 1 };
 // allocated around it happen to fragment it, so a process's peak RSS moved
 // by a whole image with allocation order and ASLR. With its own mapping an
 // image's pages come and go with the image, and peak RSS is the peak of the
-// live images.
+// live images' written pages. A fresh mapping reads as zero, so construct()
+// default-initializes: value-initializing would write (and so fault in)
+// every page just to store the zeros already there.
 namespace detail {
 [[nodiscard]] void* map_pages(std::size_t bytes);
 void unmap_pages(void* p, std::size_t bytes) noexcept;
@@ -98,6 +107,10 @@ struct page_allocator {
         detail::unmap_pages(p, n * sizeof(T));
     }
     template <class U>
+    void construct(U* p) noexcept {
+        ::new (static_cast<void*>(p)) U;
+    }
+    template <class U>
     bool operator==(const page_allocator<U>&) const noexcept {
         return true;
     }
@@ -110,6 +123,13 @@ class memory {
     static constexpr std::size_t page_bytes = 4096;
 
     explicit memory(const layout& lay = layout{});
+
+    // Copies move only the pages that may be non-zero; the destination's
+    // other pages stay zero (and, in a new image, unmapped).
+    memory(const memory& other);
+    memory& operator=(const memory& other);
+    memory(memory&&) noexcept = default;
+    memory& operator=(memory&&) noexcept = default;
 
     // Value accessors. Multi-byte accesses are little-endian and must lie
     // entirely inside one region. These throw mem_fault on violation.
@@ -210,6 +230,17 @@ class memory {
     std::vector<std::uint8_t, page_allocator<std::uint8_t>> buf_;
     // One bit per page of buf_, per channel.
     std::array<std::vector<std::uint64_t>, 2> dirty_{};
+    // One bit per page of buf_. Every dirty bit that is cleared is folded
+    // in here, so a page outside touched_ and both channels is still zero.
+    std::vector<std::uint64_t> touched_;
+
+    // Pages of bitmap word `w` that may be non-zero.
+    [[nodiscard]] std::uint64_t written(std::size_t w) const noexcept {
+        return touched_[w] | dirty_[0][w] | dirty_[1][w];
+    }
+    // Makes the pages `bits` of word `w` equal to src's. A page src never
+    // wrote is zero-filled here, not read: reading it would fault it in.
+    void copy_pages(const memory& src, std::size_t w, std::uint64_t bits) noexcept;
 
     void mark_dirty(std::size_t buf_off, std::size_t size) noexcept {
         if (size == 0) return;  // the -1 below would wrap

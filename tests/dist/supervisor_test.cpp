@@ -13,6 +13,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -93,22 +95,55 @@ TEST(dist_supervisor, retries_heal_every_fault_kind_byte_identically) {
     }
 }
 
-TEST(dist_supervisor, adaptive_round_faults_heal_byte_identically) {
-    // Two deterministic rounds (target 0 never converges; 4 blocks at 2
-    // per round); the plan faults round 1 on shard 0 and round 2 on
-    // shard 1, proving the (shard, round, attempt) coordinate reaches the
-    // workers and recovery holds across allocator rounds.
+// Two deterministic adaptive rounds (target 0 never converges; 4 blocks
+// at 2 per round), with work for both shards in each.
+campaign::campaign_spec two_round_spec() {
     auto spec = small_spec();
     spec.adaptive = true;
     spec.target_ci_halfwidth = 0.0;
     spec.trials_per_cell = 96;  // two ragged blocks per cell
     spec.round_blocks = 2;
     spec.min_trials_per_cell = 32;
+    return spec;
+}
+
+TEST(dist_supervisor, adaptive_round_faults_heal_byte_identically) {
+    // The plan faults round 1 on shard 0 and round 2 on shard 1, proving
+    // the (shard, round, attempt) coordinate reaches the workers and
+    // recovery holds across allocator rounds.
+    const auto spec = two_round_spec();
     const auto reference = campaign::engine{spec}.run().to_json();
     scoped_fault_plan plan{"crash:0:1,corrupt:1:2"};
     const auto retries_before = counter_value("dist.retries");
     EXPECT_EQ(dist::run_sharded(spec, fast_options(2)).to_json(), reference);
     EXPECT_GE(counter_value("dist.retries") - retries_before, 2u);
+}
+
+std::string read_file(const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(dist_supervisor, postmortems_from_different_rounds_do_not_overwrite) {
+    // Shard 0 crashes once in round 1 and once in round 2. Both attempts
+    // are first attempts, so only the round tells their postmortems apart.
+    const auto spec = two_round_spec();
+    const auto reference = campaign::engine{spec}.run().to_json();
+    const auto options = fast_options(2);
+    const auto round1 = options.postmortem_dir + "/obs-postmortem-0.json";
+    const auto round2 = options.postmortem_dir + "/obs-postmortem-0-round2.json";
+    ::unlink(round1.c_str());
+    ::unlink(round2.c_str());
+    scoped_fault_plan plan{"crash:0:1,crash:0:2"};
+    EXPECT_EQ(dist::run_sharded(spec, options).to_json(), reference);
+    const auto first = read_file(round1);
+    const auto second = read_file(round2);
+    EXPECT_NE(first.find("\"round\": 1,"), std::string::npos) << first;
+    EXPECT_NE(second.find("\"round\": 2,"), std::string::npos) << second;
+    ::unlink(round1.c_str());
+    ::unlink(round2.c_str());
 }
 
 TEST(dist_supervisor, deadline_kills_hung_worker_and_retry_heals) {
