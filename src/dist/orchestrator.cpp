@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "campaign/allocator.hpp"
+#include "campaign/engine.hpp"
 #include "dist/child.hpp"
 #include "dist/supervisor.hpp"
 #include "dist/wire.hpp"
@@ -300,8 +301,9 @@ std::string default_worker_path() {
 
 campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
                                       const sharded_options& options) {
-    if (options.shards == 0)
-        throw std::invalid_argument{"run_sharded: shards must be >= 1"};
+    if (options.shards == 0 && options.net.has_value())
+        throw std::invalid_argument{
+            "run_sharded: shards 0 runs in this process and takes no fleet"};
     const std::string worker = options.worker_path.empty()
                                    ? default_worker_path()
                                    : options.worker_path;
@@ -310,9 +312,17 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
     campaign::adaptive_allocator allocator{spec};
     auto store = open_store(spec, options);
 
-    // With options.net every round's attempts lease to the coordinator's
-    // nodes, which stay registered across rounds; otherwise they run on
+    // With shards == 0 every round runs on this process's threads, through
+    // one engine whose victims stay cached across rounds. Otherwise, with
+    // options.net, every round's attempts lease to the coordinator's
+    // nodes, which stay registered across rounds; without it they run on
     // local pipes and no socket is ever bound.
+    std::optional<campaign::engine> local;
+    campaign::campaign_spec shard_spec;
+    if (options.shards == 0)
+        local.emplace(spec);
+    else
+        shard_spec = shard_execution_spec(spec, options);
     std::unique_ptr<coordinator> fleet;
     if (options.net.has_value()) {
         net_options net = *options.net;
@@ -320,16 +330,15 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
         fleet = std::make_unique<coordinator>(net, digest);
     }
 
-    // The round loop. The allocator runs in the parent — one all-blocks
-    // round 0 for a fixed campaign, rounds 1..N for an adaptive one — and
-    // each round's block list becomes supervised manifest jobs. Allocation
-    // decisions consume only merged partials, and block partials are pure
-    // functions of (master_seed, block), so this reproduces
-    // engine{spec}.run() byte for byte at any shard count, any retry
-    // pattern, and across any kill/resume boundary: a round is stored
-    // only after record_round() accepted it, and replaying the stored
-    // rounds rebuilds the allocator state bit for bit.
-    const auto shard_spec = shard_execution_spec(spec, options);
+    // The round loop. The allocator runs here — one all-blocks round 0
+    // for a fixed campaign, rounds 1..N for an adaptive one — and each
+    // round's block list runs in process or becomes supervised manifest
+    // jobs. Allocation decisions consume only merged partials, and block
+    // partials are pure functions of (master_seed, block), so this
+    // reproduces engine{spec}.run() byte for byte at any shard count, any
+    // retry pattern, and across any kill/resume boundary: a round is
+    // stored only after record_round() accepted it, and replaying the
+    // stored rounds rebuilds the allocator state bit for bit.
     if (store.has_value()) replay_store(*store, allocator, options);
     for (;;) {
         const auto round = allocator.plan_round();
@@ -338,22 +347,26 @@ campaign::campaign_report run_sharded(const campaign::campaign_spec& spec,
         obs::span sp{"campaign.round", "dist",
                      static_cast<std::int64_t>(number)};
         const auto start = std::chrono::steady_clock::now();
-        auto outcome = execute_round(options, fleet.get(), worker, shard_spec,
-                                     digest, number, round);
-        allocator.record_round(
-            round,
-            collect_block_partials(spec, round, outcome.partials, number));
+        round_outcome outcome;
+        std::vector<campaign::cell_partial> partials;
+        if (local.has_value()) {
+            partials = local->run_blocks(round);
+        } else {
+            outcome = execute_round(options, fleet.get(), worker, shard_spec,
+                                    digest, number, round);
+            partials =
+                collect_block_partials(spec, round, outcome.partials, number);
+        }
+        allocator.record_round(round, partials);
         if (store.has_value() || options.block_ingest) {
             // The durable unit is one *accepted* round, persisted before
-            // any observer runs. Blocks are reassembled into round order
-            // from the round-robin job split; the hook gets the identical
-            // list after the store's fsync'd append.
-            const std::size_t count = outcome.partials.size();
+            // any observer runs, its blocks in round order; the hook gets
+            // the identical list after the store's fsync'd append.
             std::vector<partial_block> entry_blocks;
             entry_blocks.reserve(round.size());
             for (std::size_t p = 0; p < round.size(); ++p)
-                entry_blocks.push_back(
-                    outcome.partials[p % count].blocks[p / count]);
+                entry_blocks.push_back(partial_block{
+                    round[p].index, round[p].cell, std::move(partials[p])});
             if (store.has_value()) store->ingest_blocks(number, entry_blocks);
             if (options.block_ingest)
                 options.block_ingest(number, entry_blocks);

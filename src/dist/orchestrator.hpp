@@ -1,9 +1,11 @@
-// Multi-process campaign fan-out.
+// The campaign round loop, in process or fanned out.
 //
-// run_sharded() drives campaign::adaptive_allocator in the parent, round by
-// round: a fixed campaign is one round numbered 0 holding every block of
+// run_sharded() drives campaign::adaptive_allocator round by round: a
+// fixed campaign is one round numbered 0 holding every block of
 // blocks_for(spec); an adaptive one runs rounds 1..N until every cell has
-// converged or spent its budget. Each round's block list is split
+// converged or spent its budget. With shards == 0 each round runs on this
+// process's threads through one campaign::engine, whose victims stay
+// cached across rounds. Otherwise each round's block list is split
 // round-robin by position across the shards, and each non-empty slice
 // becomes one job: an explicit block manifest (wire round-job JSON) sent
 // as a lease frame to a `tools_campaign_worker`, which answers with a
@@ -11,12 +13,13 @@
 // a fresh worker process that serves that one lease; over a fleet
 // (options.net) each node relays its leases to one long-lived worker.
 // The orchestrator validates exactly-once coverage of the round
-// (wire::collect_block_partials), records the merged partials, and asks the
-// allocator for the next round. Decisions are pure functions of merged
-// partials, so the final report is byte-identical to the in-process engine
-// at every shard count.
+// (wire::collect_block_partials). Either way it records the round's
+// partials, stores and observes the round, and asks the allocator for the
+// next round. Decisions are pure functions of merged partials, so the
+// final report is byte-identical to engine::run() at every shard count,
+// shards == 0 included.
 //
-// Failure model: supervised, then loud. Every round runs under
+// Failure model (shards >= 1): supervised, then loud. Every round runs under
 // dist::run_jobs — a worker that crashes, times out, or emits a bad
 // or wrong-blocks partial has its block manifest requeued with bounded
 // retries and exponential backoff (options.faults), with a postmortem
@@ -64,6 +67,9 @@ struct sharded_options {
     // Jobs per round (a round's block list is split this many ways). Over
     // local pipes each job is one worker process; 1 still goes through
     // fork/exec — that is the point of --shards 1 as a protocol check.
+    // 0 runs every round on this process's threads (spec.jobs of them):
+    // no worker, flight file or postmortem, and no fleet (net must be
+    // empty). The store, resume and the observers work the same.
     unsigned shards = 1;
     // Path to the worker binary; empty resolves default_worker_path().
     std::string worker_path;
@@ -80,8 +86,9 @@ struct sharded_options {
     // blocks/trials issued, the widest remaining Wilson half-width, and
     // per-shard wall/user/sys times — the same summaries
     // campaign::engine::set_round_observer gets, plus the shard times and
-    // recovery totals. tools_campaign_shard writes its --telemetry JSONL
-    // and renders --progress from this. Called from the orchestrating
+    // recovery totals (both empty at shards == 0). It is the summary the
+    // store's round entry holds. tools_campaign_shard renders --progress
+    // and fires --kill-after-round from it. Called from the orchestrating
     // thread between rounds, after the round is durable in the store.
     std::function<void(const obs::round_summary&)> round_observer;
     // Block hook: handed exactly the validated block partials the store

@@ -1,11 +1,11 @@
 // The result store's on-disk format: a streaming campaign observatory.
 //
-// A store directory is a sharded campaign's durable log and its
-// queryable result: the validated block partials the orchestrator
-// accepts (and the round summaries / registry snapshots `src/obs/`
-// produces) land here — one blocks entry per accepted round, the unit a
-// resumed run replays — in a layout a reader can use *while the campaign
-// is still running*. It holds exactly two files:
+// A store directory is a campaign's durable log and its queryable result,
+// for in-process (--shards 0) and sharded runs alike: the validated block
+// partials the round loop accepts (and the round summaries / registry
+// snapshots `src/obs/` produces) land here — one blocks entry per
+// accepted round, the unit a resumed run replays — in a layout a reader
+// can use *while the campaign is still running*. It holds exactly two files:
 //
 //   <dir>/store.json    the manifest, written once (tmp + rename) when the
 //                       store is created and never rewritten: format
@@ -106,8 +106,8 @@ struct log_entry {
                                         std::size_t line_no,
                                         std::string_view line);
 
-// Parses the round-summary JSON obs::round_summary_json emits (also the
-// shape --telemetry lines carry). Shared with the --follow tailer.
+// Parses the round-summary JSON obs::round_summary_json emits (a round
+// entry's `summary` body). Shared with the --follow tailer.
 [[nodiscard]] obs::round_summary round_summary_from_json(
     const util::json_value& v);
 

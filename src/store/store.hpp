@@ -1,9 +1,10 @@
 // The store's write path: the orchestrator's one durable log.
 //
 // dist::run_sharded opens a store_writer in sharded_options::checkpoint_dir
-// and hands it exactly the block partials the merge validated, one
-// ingest_blocks per accepted round, then the round's obs summary, then at
-// the end the final registry snapshot and the completion entry. Each lands
+// (at any shard count, 0 included) and hands it exactly the block partials
+// each accepted round produced, one ingest_blocks per round, then the
+// round's obs summary, then at the end the final registry snapshot and
+// the completion entry. Each lands
 // durably (complete hashed line + fsync per ingest) in <dir>/ingest.log;
 // <dir>/store.json is written once, at creation, and never touched again.
 // A resumed run takes the accepted rounds the writer read at open and

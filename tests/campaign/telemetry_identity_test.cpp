@@ -1,17 +1,16 @@
 // The telemetry layer's one inviolable rule: it is a side channel. A
 // campaign report is a pure function of its spec — turning on tracing,
-// metrics, round observers, JSONL telemetry or the flight recorder must
+// metrics, round observers, the result store or the flight recorder must
 // not move a single report byte, at any --jobs level or shard count.
 // This test runs the same campaign with everything off and with
-// everything on, in-process (jobs 1 and 8) and fork/exec-sharded
-// (1 and 4 shards), and compares the serialized reports byte for byte.
-// It also checks the promise obs/telemetry.hpp makes: both execution paths
-// report the same rounds, timing and recovery fields aside.
+// everything on, in-process (jobs 1 and 8) and through run_sharded (0, 1
+// and 4 shards), and compares the serialized reports byte for byte. It
+// also checks the promise obs/telemetry.hpp makes: every execution path
+// reports the same rounds, timing and recovery fields aside.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "dist/orchestrator.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "store/reader.hpp"
 
 namespace pssp {
 namespace {
@@ -77,43 +77,36 @@ TEST(telemetry_identity, adaptive_report_identical_with_telemetry_on) {
 TEST(telemetry_identity, sharded_report_identical_with_telemetry_on) {
     const auto spec = small_spec();
     const auto reference = run_plain(spec, 1);
-    for (const unsigned shards : {1u, 4u}) {
+    for (const unsigned shards : {0u, 1u, 4u}) {
         dist::sharded_options plain;
         plain.shards = shards;
         plain.flight_recorder = false;
         EXPECT_EQ(dist::run_sharded(spec, plain).to_json(), reference)
             << "shards=" << shards;
 
-        // Everything on: a round observer writing JSONL telemetry to a temp
-        // file (as tools_campaign_shard --telemetry does), orchestrator
-        // tracing, and per-worker flight recorders.
-        const std::string jsonl =
-            ::testing::TempDir() + "telemetry_identity_" +
-            std::to_string(shards) + ".jsonl";
+        // Everything on: a round observer, a result store (as
+        // tools_campaign_shard --store does), orchestrator tracing, and
+        // per-worker flight recorders.
+        const std::string dir = ::testing::TempDir() + "telemetry_identity_" +
+                                std::to_string(shards) + "_store";
+        std::filesystem::remove_all(dir);
         std::uint64_t rounds_seen = 0;
-        std::string report;
-        {
-            obs::telemetry_writer telemetry;
-            ASSERT_TRUE(telemetry.open(jsonl));
-            dist::sharded_options loud;
-            loud.shards = shards;
-            loud.postmortem_dir = ::testing::TempDir();
-            loud.round_observer = [&](const obs::round_summary& r) {
-                telemetry.append(r);
-                ++rounds_seen;
-            };
-            obs::enable_tracing(true);
-            report = dist::run_sharded(spec, loud).to_json();
-            obs::enable_tracing(false);
-            obs::clear_spans_for_test();
-        }
+        dist::sharded_options loud;
+        loud.shards = shards;
+        loud.checkpoint_dir = dir;
+        loud.postmortem_dir = ::testing::TempDir();
+        loud.round_observer = [&](const obs::round_summary&) { ++rounds_seen; };
+        obs::enable_tracing(true);
+        const auto report = dist::run_sharded(spec, loud).to_json();
+        obs::enable_tracing(false);
+        obs::clear_spans_for_test();
         EXPECT_EQ(report, reference) << "shards=" << shards << " with telemetry";
         EXPECT_GE(rounds_seen, 1u);
-        std::ifstream in{jsonl};
-        std::uint64_t lines = 0;
-        for (std::string line; std::getline(in, line);) ++lines;
-        EXPECT_EQ(lines, rounds_seen) << "one JSONL line per round observed";
-        std::remove(jsonl.c_str());
+        const auto stored = store::load_store(dir);
+        EXPECT_TRUE(stored.complete);
+        EXPECT_EQ(stored.rounds.size(), rounds_seen)
+            << "one stored round entry per round observed";
+        std::filesystem::remove_all(dir);
     }
 }
 
@@ -141,10 +134,11 @@ std::vector<round_fields> engine_rounds(const campaign::campaign_spec& spec) {
     return comparable(rounds);
 }
 
-std::vector<round_fields> sharded_rounds(const campaign::campaign_spec& spec) {
+std::vector<round_fields> sharded_rounds(const campaign::campaign_spec& spec,
+                                        unsigned shards) {
     std::vector<obs::round_summary> rounds;
     dist::sharded_options options;
-    options.shards = 2;
+    options.shards = shards;
     options.flight_recorder = false;
     options.round_observer = [&rounds](const obs::round_summary& r) {
         rounds.push_back(r);
@@ -156,12 +150,15 @@ std::vector<round_fields> sharded_rounds(const campaign::campaign_spec& spec) {
 TEST(telemetry_identity, engine_and_sharded_runs_report_the_same_rounds) {
     // round, blocks, trials, cumulative_trials, max_halfwidth and
     // widest_cell come from the allocator's merged partials, so they match
-    // line for line; a fixed run is the one round 0.
+    // line for line, in process (shards 0) and over workers; a fixed run
+    // is the one round 0.
     const auto fixed = small_spec();
     const auto fixed_rounds = engine_rounds(fixed);
     ASSERT_EQ(fixed_rounds.size(), 1u);
     EXPECT_EQ(std::get<0>(fixed_rounds[0]), 0u);
-    EXPECT_EQ(sharded_rounds(fixed), fixed_rounds);
+    for (const unsigned shards : {0u, 2u})
+        EXPECT_EQ(sharded_rounds(fixed, shards), fixed_rounds)
+            << "shards=" << shards;
 
     auto adaptive = small_spec();
     adaptive.trials_per_cell = 16;
@@ -170,7 +167,9 @@ TEST(telemetry_identity, engine_and_sharded_runs_report_the_same_rounds) {
     adaptive.round_blocks = 4;
     const auto adaptive_rounds = engine_rounds(adaptive);
     EXPECT_GE(adaptive_rounds.size(), 2u);
-    EXPECT_EQ(sharded_rounds(adaptive), adaptive_rounds);
+    for (const unsigned shards : {0u, 2u})
+        EXPECT_EQ(sharded_rounds(adaptive, shards), adaptive_rounds)
+            << "shards=" << shards;
 }
 
 }  // namespace

@@ -175,5 +175,30 @@ TEST(dist_orchestrator, missing_worker_binary_fails_loudly) {
     EXPECT_THROW((void)dist::run_sharded(spec, options), std::runtime_error);
 }
 
+TEST(dist_orchestrator, zero_shards_run_in_process_and_take_no_fleet) {
+    // shards == 0 runs every round on this process's threads: a worker
+    // that cannot exec is never needed, and the report is the engine's,
+    // fixed and adaptive.
+    auto spec = campaign::default_spec();
+    spec.trials_per_cell = 16;
+    spec.brute_unknown_bits = 8;
+    spec.query_budget = 1024;
+    spec.jobs = 4;
+    dist::sharded_options options;
+    options.shards = 0;
+    options.worker_path = "/nonexistent/campaign_worker";
+    EXPECT_EQ(dist::run_sharded(spec, options).to_json(),
+              campaign::engine{spec}.run().to_json());
+    spec.adaptive = true;
+    spec.min_trials_per_cell = 8;
+    spec.round_blocks = 4;
+    EXPECT_EQ(dist::run_sharded(spec, options).to_json(),
+              campaign::engine{spec}.run().to_json());
+
+    options.net = dist::net_options{};
+    options.net->fleet_workers = 2;
+    EXPECT_THROW((void)dist::run_sharded(spec, options), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace pssp

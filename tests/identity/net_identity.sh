@@ -11,8 +11,8 @@
 # binaries run from a private copy in BUILD_DIR/net-identity/bin, so the
 # process checks below see this script's fleet and nothing a concurrent
 # test started. Work files and the metrics snapshots (metrics_net.json,
-# metrics_deadline.json) go to BUILD_DIR/net-identity, which is recreated
-# on every run.
+# metrics_deadline.json, read back from each run's store) go to
+# BUILD_DIR/net-identity, which is recreated on every run.
 set -euo pipefail
 
 build=$(cd "$1" && pwd)
@@ -23,6 +23,7 @@ for tool in tools_campaign_shard tools_campaign_node tools_campaign_worker; do
   cp "$build/$tool" "$work/bin/"
 done
 shard="$work/bin/tools_campaign_shard"
+query="$build/tools_campaign_query"
 cd "$work"
 
 fixed=(--trials 8 --budget 512)
@@ -31,7 +32,8 @@ fleet2=(--shards 2 --workers 2)
 healing=(--heartbeat 0.1 --max-attempts 4 --backoff 0.01)
 
 # check_metrics FILE EXPR...: each Python expression over the metrics
-# snapshot `m` must hold.
+# snapshot `m` must hold. The snapshot is the one the run's store took at
+# finalize, after the last round and before the fleet shut down.
 check_metrics() {
   local file=$1
   shift
@@ -93,11 +95,12 @@ done
   --json net_resumed.json
 cmp adaptive_clean.json net_resumed.json
 
-echo "== network transport counters (--metrics-out)"
+echo "== network transport counters (the stored metrics snapshot)"
 PSSP_CAMPAIGN_FAULT_PLAN="net-drop:0,net-stall-hb:1" \
   "$shard" "${adaptive[@]}" "${fleet2[@]}" "${healing[@]}" \
-  --json net_counted.json --metrics-out metrics_net.json
+  --store st_counted --json net_counted.json
 cmp adaptive_clean.json net_counted.json
+"$query" st_counted --metrics > metrics_net.json
 # The fleet registered and took leases; stall-hb got its holder evicted;
 # the dropped node came back; and a fleet run has no local channel.
 check_metrics metrics_net.json \
@@ -113,8 +116,9 @@ echo "== deadline over the fleet (a hung compute worker is evicted)"
 PSSP_CAMPAIGN_FAULT_PLAN="hang:1:1" \
   "$shard" "${adaptive[@]}" "${fleet2[@]}" \
   --heartbeat 0.1 --timeout 2 --backoff 0.01 \
-  --json net_deadline.json --metrics-out metrics_deadline.json
+  --store st_deadline --json net_deadline.json
 cmp adaptive_clean.json net_deadline.json
+"$query" st_deadline --metrics > metrics_deadline.json
 check_metrics metrics_deadline.json "m['dist.timeouts'] >= 1"
 
 echo "net identity: all checks passed"

@@ -5,9 +5,12 @@
 #
 # ctest runs it under the `store` label (ctest -L store). Each check
 # compares report bytes with cmp: a result store reconstructs exactly the
-# report its campaign wrote, whatever jobs/shard history collected it,
-# after a kill and resume, and after a torn final log line. Work files go
-# to BUILD_DIR/store-identity, which is recreated on every run.
+# report its campaign wrote, whatever jobs/shard history collected it
+# (in process at --shards 0 or over worker processes), after a kill and
+# resume, across a resume in the other mode, and after a torn final log
+# line. In-process and sharded stores hold byte-identical blocks lines.
+# Work files go to BUILD_DIR/store-identity, which is recreated on every
+# run.
 set -euo pipefail
 
 build=$(cd "$1" && pwd)
@@ -20,6 +23,12 @@ cd "$work"
 
 adaptive=(--trials 8 --budget 512 --adaptive --target 0 --round-blocks 4)
 
+# blocks_lines DIR: the store's "k":"blocks" log lines — everything a store
+# holds that decides a report, with no timing in it.
+blocks_lines() {
+  grep '"k":"blocks"' "$1/ingest.log"
+}
+
 # expect_killed CMD...: the run must die by SIGKILL (the --kill-after-round
 # hook) and leave no report behind.
 expect_killed() {
@@ -31,9 +40,9 @@ expect_killed() {
   test ! -f never.json
 }
 
-echo "== store identity (query-reconstructed report == campaign report, jobs 1/8 x shards 1/4)"
+echo "== store identity (query-reconstructed report == campaign report, jobs 1/8 x shards 0/1/4)"
 for jobs in 1 8; do
-  for shards in 1 4; do
+  for shards in 0 1 4; do
     dir="st_j${jobs}_s${shards}"
     "$shard" --trials 8 --budget 512 --jobs "$jobs" --shards "$shards" \
       --store "$dir" --json "report_j${jobs}_s${shards}.json"
@@ -47,9 +56,26 @@ done
 cmp q_j1_s1.json q_j8_s4.json
 cmp q_j1_s1.json q_j1_s4.json
 cmp q_j1_s1.json q_j8_s1.json
+cmp q_j1_s1.json q_j1_s0.json
+cmp q_j1_s1.json q_j8_s0.json
+# An in-process store holds the sharded store's blocks lines, byte for byte.
+cmp <(blocks_lines st_j1_s0) <(blocks_lines st_j8_s4)
+cmp <(blocks_lines st_j8_s0) <(blocks_lines st_j1_s4)
 
 echo "== clean adaptive reference"
 "$shard" "${adaptive[@]}" --shards 1 --store st_clean --json clean.json
+
+echo "== in-process adaptive store == sharded adaptive store"
+"$shard" "${adaptive[@]}" --shards 0 --jobs 8 --store st_adaptive_s0 \
+  --json adaptive_s0.json
+"$shard" "${adaptive[@]}" --shards 4 --store st_adaptive_s4 \
+  --json adaptive_s4.json
+cmp clean.json adaptive_s0.json
+cmp clean.json adaptive_s4.json
+cmp <(blocks_lines st_adaptive_s0) <(blocks_lines st_adaptive_s4)
+"$query" st_adaptive_s0 --report q_adaptive_s0.json
+cmp adaptive_s0.json q_adaptive_s0.json
+"$query" st_adaptive_s0 --verify
 
 echo "== killed-and-resumed campaign's store reconstructs byte-identically"
 expect_killed "$shard" "${adaptive[@]}" --shards 4 --store st_kill \
@@ -62,6 +88,28 @@ cmp clean.json resumed.json
 "$query" st_kill --report q_resumed.json
 cmp clean.json q_resumed.json
 "$query" st_kill --verify
+
+echo "== kill and resume in process (--shards 0)"
+expect_killed "$shard" "${adaptive[@]}" --shards 0 --store st_kill0 \
+  --kill-after-round 2 --json never.json
+test "$(grep -c '"k":"blocks"' st_kill0/ingest.log)" -eq 2
+"$shard" "${adaptive[@]}" --shards 0 --resume --store st_kill0 \
+  --json resumed0.json
+cmp clean.json resumed0.json
+"$query" st_kill0 --report q_resumed0.json
+cmp clean.json q_resumed0.json
+"$query" st_kill0 --verify
+
+echo "== killed in process, resumed over worker processes"
+# Shards and jobs are execution knobs, outside the spec digest.
+expect_killed "$shard" "${adaptive[@]}" --shards 0 --store st_cross \
+  --kill-after-round 2 --json never.json
+"$shard" "${adaptive[@]}" --shards 2 --resume --store st_cross \
+  --json resumed_cross.json
+cmp clean.json resumed_cross.json
+"$query" st_cross --report q_cross.json
+cmp clean.json q_cross.json
+"$query" st_cross --verify
 
 echo "== a torn final log line is dropped and the store still verifies"
 expect_killed "$shard" "${adaptive[@]}" --shards 2 --store st_torn \

@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,6 +58,7 @@
 #include "dist/chaos.hpp"
 #include "dist/child.hpp"
 #include "dist/frame.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -372,33 +374,44 @@ bool run_session(const node_config& cfg, const fault_plan& plan,
 int main(int argc, char** argv) {
     node_config cfg;
     std::string endpoint;
-    for (int i = 1; i < argc; ++i) {
-        const auto next = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--connect"))
-            endpoint = next("--connect");
-        else if (!std::strcmp(argv[i], "--name"))
-            cfg.name = next("--name");
-        else if (!std::strcmp(argv[i], "--worker"))
-            cfg.worker = next("--worker");
-        else if (!std::strcmp(argv[i], "--retries"))
-            cfg.retries = static_cast<unsigned>(
-                std::strtoul(next("--retries"), nullptr, 10));
-        else if (!std::strcmp(argv[i], "--retry-delay"))
-            cfg.retry_delay_ms = static_cast<unsigned>(
-                std::strtoul(next("--retry-delay"), nullptr, 10));
-        else
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const auto next = [&](const char* flag) -> const char* {
+                if (i + 1 >= argc) {
+                    std::fprintf(stderr, "%s needs a value\n", flag);
+                    std::exit(2);
+                }
+                return argv[++i];
+            };
+            if (!std::strcmp(argv[i], "--connect"))
+                endpoint = next("--connect");
+            else if (!std::strcmp(argv[i], "--name"))
+                cfg.name = next("--name");
+            else if (!std::strcmp(argv[i], "--worker"))
+                cfg.worker = next("--worker");
+            else if (!std::strcmp(argv[i], "--retries"))
+                cfg.retries = static_cast<unsigned>(pssp::util::parse_count(
+                    "--retries", next("--retries"), 0, UINT_MAX));
+            else if (!std::strcmp(argv[i], "--retry-delay"))
+                // Milliseconds, bounded so the microsecond sleep fits.
+                cfg.retry_delay_ms =
+                    static_cast<unsigned>(pssp::util::parse_count(
+                        "--retry-delay", next("--retry-delay"), 0,
+                        UINT_MAX / 1000));
+            else
+                return usage(argv[0]);
+        }
+        const auto colon = endpoint.rfind(':');
+        if (endpoint.empty() || colon == std::string::npos)
             return usage(argv[0]);
+        cfg.host = endpoint.substr(0, colon);
+        cfg.port = std::to_string(pssp::util::parse_count(
+            "--connect", std::string_view{endpoint}.substr(colon + 1), 1,
+            65535));
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     }
-    const auto colon = endpoint.rfind(':');
-    if (endpoint.empty() || colon == std::string::npos) return usage(argv[0]);
-    cfg.host = endpoint.substr(0, colon);
-    cfg.port = endpoint.substr(colon + 1);
     if (cfg.worker.empty())
         cfg.worker = sibling_binary("tools_campaign_worker");
 

@@ -1,15 +1,17 @@
 // The campaign front end: parses the campaign flags, runs the campaign
-// and writes its report. --shards 0 runs campaign::engine in this
-// process; --shards N >= 1 fans the rounds out across worker processes
-// (dist::run_sharded) or, with --workers/--listen, a TCP fleet. The report
-// is byte-identical in every mode, at every shard count and jobs level;
-// CI pins that by diffing --shards 0 against --shards 1, 2, 4 and 8.
+// through dist::run_sharded and writes its report. --shards 0 runs every
+// round on this process's threads; --shards N >= 1 fans the rounds out
+// across worker processes or, with --workers/--listen, a TCP fleet. The
+// report is byte-identical in every mode, at every shard count and jobs
+// level; tests/identity/campaign_identity.sh pins that by diffing
+// --shards 0 against --shards 1 and 4.
 //
-// Both modes feed one round observer: --telemetry, --progress and
-// --kill-after-round all hang off the per-round summaries it receives.
-// --store names the orchestrator's durable log (sharded_options::
-// checkpoint_dir), which run_sharded owns end to end. Flags only the
-// orchestrator honours are refused with --shards 0.
+// One round loop serves every mode. --store names its durable log
+// (sharded_options::checkpoint_dir): block partials, round summaries and
+// the final metrics snapshot, read back with tools_campaign_query
+// (--follow, --metrics, --report). --progress and --kill-after-round
+// hang off the per-round summaries the loop hands its observer. Flags
+// that only act on worker processes are refused with --shards 0.
 
 #include <algorithm>
 #include <array>
@@ -19,16 +21,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
-#include "campaign/engine.hpp"
+#include "campaign/campaign.hpp"
 #include "dist/orchestrator.hpp"
-#include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "obs/telemetry.hpp"
 #include "util/cli.hpp"
 #include "vm/dispatch.hpp"
 
@@ -42,7 +41,8 @@ void usage(const char* argv0) {
                  "          [--budget Q] [--full] [--fresh-masters]\n"
                  "          [--adaptive] [--target H] [--round-blocks N]\n"
                  "          [--min-trials N]\n"
-                 "          [--worker PATH] [--json PATH|-] [--table]\n"
+                 "          [--store DIR [--resume]] [--worker PATH]\n"
+                 "          [--json PATH|-] [--table]\n"
                  "  --shards N   worker processes (default 1; 1 still\n"
                  "               fork/execs; 0 = run in this process)\n"
                  "  --trials N   trials per campaign cell (default 112)\n"
@@ -69,22 +69,26 @@ void usage(const char* argv0) {
                  "               either way)\n"
                  "  --json PATH  write the report JSON ('-' = stdout)\n"
                  "  --table      print the human-readable outcome matrix\n"
-                 "  --telemetry PATH  per-round summary JSONL ('-' = stderr):\n"
-                 "               blocks/trials issued, widest CI half-width,\n"
-                 "               per-shard wall/user/sys times. Side channel\n"
-                 "               only — never changes the report\n"
                  "  --trace-out PATH  Chrome trace_event JSON of this run's\n"
                  "               spans (rounds, trial blocks, worker\n"
                  "               lifetimes, wire encode/decode) — load in\n"
                  "               chrome://tracing or Perfetto\n"
-                 "  --progress   live round progress on stderr, plus a live\n"
-                 "               trial counter with --shards 0 (stdout\n"
+                 "  --progress   one line per round on stderr (stdout\n"
                  "               untouched)\n"
-                 "  --metrics-out PATH  dump the obs metric registry as\n"
-                 "               deterministic JSON at exit ('-' = stdout),\n"
-                 "               including the recovery (dist.retries, ...)\n"
-                 "               and network (dist.net.*) counters\n"
-                 "orchestrator only (refused with --shards 0):\n"
+                 "  --store DIR  persist every accepted round (block partials\n"
+                 "               and summary, fsync'd) and the final metrics\n"
+                 "               snapshot to a crash-resumable result store in\n"
+                 "               DIR (read it with tools_campaign_query\n"
+                 "               --follow, --metrics, --report; report bytes\n"
+                 "               identical store on or off)\n"
+                 "  --resume     continue the store in --store DIR (spec\n"
+                 "               digest must match); completed rounds are\n"
+                 "               replayed, only missing work re-runs, and the\n"
+                 "               final report is byte-identical\n"
+                 "  --kill-after-round N  test hook: raise(SIGKILL) right\n"
+                 "               after round N is stored — simulates an\n"
+                 "               orchestrator crash for --resume testing\n"
+                 "worker processes only (refused with --shards 0):\n"
                  "  --worker PATH    campaign worker binary (default: sibling\n"
                  "               tools_campaign_worker)\n"
                  "  --max-attempts N  attempts per worker job before the run\n"
@@ -95,18 +99,6 @@ void usage(const char* argv0) {
                  "               no deadline)\n"
                  "  --backoff S  base retry backoff in seconds, doubled per\n"
                  "               failed attempt (default 0.05)\n"
-                 "  --store DIR  persist every accepted round (block partials\n"
-                 "               and summary, fsync'd) to a crash-resumable\n"
-                 "               result store in DIR (query with\n"
-                 "               tools_campaign_query; report bytes\n"
-                 "               identical store on or off)\n"
-                 "  --resume     continue the store in --store DIR (spec\n"
-                 "               digest must match); completed rounds are\n"
-                 "               replayed, only missing work re-runs, and the\n"
-                 "               final report is byte-identical\n"
-                 "  --kill-after-round N  test hook: raise(SIGKILL) right\n"
-                 "               after round N is stored — simulates an\n"
-                 "               orchestrator crash for --resume testing\n"
                  "  --workers N  network fleet mode: run rounds over a TCP\n"
                  "               coordinator that self-spawns N localhost\n"
                  "               tools_campaign_node daemons. The report is\n"
@@ -125,11 +117,10 @@ void usage(const char* argv0) {
                  argv0);
 }
 
-// The flags only dist::run_sharded acts on.
-constexpr std::array<std::string_view, 11> kOrchestratorFlags{
-    "--worker", "--max-attempts", "--timeout", "--backoff", "--resume",
-    "--kill-after-round", "--store", "--workers", "--listen", "--heartbeat",
-    "--register-wait"};
+// The flags that act only on worker processes.
+constexpr std::array<std::string_view, 8> kWorkerFlags{
+    "--worker",  "--max-attempts", "--timeout",   "--backoff",
+    "--workers", "--listen",       "--heartbeat", "--register-wait"};
 
 bool write_text(const char* path, const std::string& text) {
     if (!std::strcmp(path, "-")) {
@@ -145,24 +136,6 @@ bool write_text(const char* path, const std::string& text) {
     return true;
 }
 
-// --shards 0: the same plan -> run -> record loop as run_sharded, on this
-// process's threads, with the same round observer.
-campaign::campaign_report run_in_process(
-    const campaign::campaign_spec& spec,
-    const std::function<void(const obs::round_summary&)>& observer,
-    bool progress) {
-    campaign::engine eng{spec};
-    eng.set_round_observer(observer);
-    if (progress)
-        eng.set_progress([](std::uint64_t done, std::uint64_t total) {
-            std::fprintf(stderr, "\r%llu/%llu trials",
-                         static_cast<unsigned long long>(done),
-                         static_cast<unsigned long long>(total));
-            if (done == total) std::fprintf(stderr, "\n");
-        });
-    return eng.run();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -170,15 +143,13 @@ int main(int argc, char** argv) {
     spec.trials_per_cell = 112;
     dist::sharded_options options;
     const char* json_path = nullptr;
-    const char* telemetry_path = nullptr;
     const char* trace_path = nullptr;
     bool table = false;
     bool progress = false;
     unsigned long long kill_after_round = 0;
-    const char* metrics_out_path = nullptr;
     dist::net_options net;
     bool listen = false;
-    const char* orchestrator_flag = nullptr;  // the last one given
+    const char* worker_flag = nullptr;  // the last one given
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -197,9 +168,9 @@ int main(int argc, char** argv) {
             auto nonnegative = [&](const char* flag) {
                 return util::parse_nonnegative(flag, next_value(flag));
             };
-            if (std::find(kOrchestratorFlags.begin(), kOrchestratorFlags.end(),
-                          argv[i]) != kOrchestratorFlags.end())
-                orchestrator_flag = argv[i];
+            if (std::find(kWorkerFlags.begin(), kWorkerFlags.end(), argv[i]) !=
+                kWorkerFlags.end())
+                worker_flag = argv[i];
             if (!std::strcmp(argv[i], "--shards")) {
                 options.shards =
                     static_cast<unsigned>(count("--shards", 0, UINT_MAX));
@@ -245,8 +216,6 @@ int main(int argc, char** argv) {
                 json_path = next_value("--json");
             } else if (!std::strcmp(argv[i], "--table")) {
                 table = true;
-            } else if (!std::strcmp(argv[i], "--telemetry")) {
-                telemetry_path = next_value("--telemetry");
             } else if (!std::strcmp(argv[i], "--trace-out")) {
                 trace_path = next_value("--trace-out");
             } else if (!std::strcmp(argv[i], "--progress")) {
@@ -264,8 +233,6 @@ int main(int argc, char** argv) {
                 kill_after_round = count("--kill-after-round");
             } else if (!std::strcmp(argv[i], "--store")) {
                 options.checkpoint_dir = next_value("--store");
-            } else if (!std::strcmp(argv[i], "--metrics-out")) {
-                metrics_out_path = next_value("--metrics-out");
             } else if (!std::strcmp(argv[i], "--workers")) {
                 net.fleet_workers =
                     static_cast<unsigned>(count("--workers", 1, UINT_MAX));
@@ -298,8 +265,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
-    if (options.shards == 0 && orchestrator_flag != nullptr) {
-        std::fprintf(stderr, "%s needs --shards >= 1\n", orchestrator_flag);
+    if (options.shards == 0 && worker_flag != nullptr) {
+        std::fprintf(stderr, "%s needs --shards >= 1\n", worker_flag);
         return 2;
     }
     if (options.resume && options.checkpoint_dir.empty()) {
@@ -325,8 +292,6 @@ int main(int argc, char** argv) {
     }
 
     if (trace_path != nullptr) obs::enable_tracing(true);
-    obs::telemetry_writer telemetry;
-    if (telemetry_path != nullptr && !telemetry.open(telemetry_path)) return 1;
     // Written on every exit path below that returns from a completed run.
     auto dump_trace = [trace_path] {
         if (trace_path == nullptr) return true;
@@ -336,22 +301,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "trace written to %s\n", trace_path);
         return true;
     };
-    // The registry snapshot at exit; deterministic key order, so two runs
-    // of the same campaign diff cleanly.
-    auto dump_metrics = [metrics_out_path] {
-        if (metrics_out_path == nullptr) return true;
-        return write_text(metrics_out_path, obs::metrics_json() + "\n");
-    };
 
     try {
-        // The one round observer of both modes. The orchestrator calls it
-        // after the round is durable in the store, and the telemetry line
-        // comes before the kill hook — so a --kill-after-round death
-        // leaves exactly N rounds on disk, every one of them recorded.
-        // Stdout stays the report's.
+        // The round observer. The orchestrator calls it after the round is
+        // durable in the store, so a --kill-after-round death leaves
+        // exactly N rounds on disk. Stdout stays the report's.
         std::uint64_t blocks_done = 0;
         options.round_observer = [&](const obs::round_summary& r) {
-            telemetry.append(r);
             blocks_done += r.blocks;
             if (progress)
                 std::fprintf(
@@ -376,15 +332,12 @@ int main(int argc, char** argv) {
             }
         };
 
-        const auto report =
-            options.shards == 0
-                ? run_in_process(spec, options.round_observer, progress)
-                : dist::run_sharded(spec, options);
+        const auto report = dist::run_sharded(spec, options);
         if (table) std::printf("%s\n", report.to_table().c_str());
         if (json_path != nullptr &&
             !write_text(json_path, report.to_json() + "\n"))
             return 1;
-        return dump_trace() && dump_metrics() ? 0 : 1;
+        return dump_trace() ? 0 : 1;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

@@ -48,6 +48,7 @@
 // last recorded moments for the orchestrator's postmortem.
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,6 +63,7 @@
 #include "dist/frame.hpp"
 #include "dist/wire.hpp"
 #include "obs/span.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -234,13 +236,20 @@ int serve_lease(const worker_config& cfg, const lease_envelope& lease,
 
 int main(int argc, char** argv) {
     worker_config cfg;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--shard") && i + 1 < argc)
-            cfg.shard = std::strtol(argv[++i], nullptr, 10);
-        else if (!std::strcmp(argv[i], "--shards") && i + 1 < argc)
-            cfg.shards = std::strtol(argv[++i], nullptr, 10);
-        else
-            return usage(argv[0]);
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (!std::strcmp(argv[i], "--shard") && i + 1 < argc)
+                cfg.shard = static_cast<long>(pssp::util::parse_count(
+                    "--shard", argv[++i], 0, UINT32_MAX));
+            else if (!std::strcmp(argv[i], "--shards") && i + 1 < argc)
+                cfg.shards = static_cast<long>(pssp::util::parse_count(
+                    "--shards", argv[++i], 1, UINT32_MAX));
+            else
+                return usage(argv[0]);
+        }
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "worker: %s\n", e.what());
+        return 2;
     }
     const bool pinned = cfg.shard >= 0 || cfg.shards >= 0;
     if (pinned && (cfg.shard < 0 || cfg.shards <= 0 || cfg.shard >= cfg.shards))
